@@ -44,25 +44,11 @@ BASELINES = {"zero-motion": ZeroMotionTracker, "kalman-cv": KalmanCVTracker}
 CHECKPOINT_NAME = "checkpoint.lidartrack"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _add_common(sp: argparse.ArgumentParser, *, dataset: bool) -> None:
     sp.add_argument("--config", help="JSON config file (flat key: value object)")
     sp.add_argument("--preset", choices=sorted(PRESETS), help="built-in config preset")
     sp.add_argument("--seed", type=int, help="override the config seed")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker cap, recorded in the snapshot; all commands here run "
-        "single-threaded so values above 1 change nothing",
-    )
     if dataset:
         sp.add_argument("--dataset", help="native-format dataset directory")
 
@@ -136,7 +122,6 @@ def _write_snapshot(out: Path, args, cfg: ExperimentConfig) -> None:
     doc = {
         "command": args.command,
         "preset": args.preset,
-        "threads": args.threads,
         "out": str(out),
         "inputs": {
             key: getattr(args, key, None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -184,36 +184,32 @@ class ExperimentConfig:
 
 
 def _coerced(raw: Mapping[str, Any]) -> dict[str, Any]:
-    """Check keys against the schema and coerce JSON scalars to field types."""
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - set(by_name))
+    """Check keys against the dataclass fields and coerce JSON values to their types."""
+    kinds = get_type_hints(ExperimentConfig)
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    out: dict[str, Any] = {}
-    for key, value in raw.items():
-        out[key] = _coerce_one(key, value)
-    return out
+    return {key: _coerce_one(key, value, kinds[key]) for key, value in raw.items()}
 
 
-def _coerce_one(key: str, value: Any) -> Any:
-    kind = _SCHEMA[key]
-    if kind == "int":
+def _coerce_one(key: str, value: Any, kind: Any) -> Any:
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return int(value)
-    if kind == "float":
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} must be a number, got {value!r}")
         return float(value)
-    if kind == "bool":
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
         return value
-    if kind == "str":
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
         return value
-    if kind == "int_list":
+    if kind == tuple[int, ...]:
         if (
             isinstance(value, bool)
             or not isinstance(value, (list, tuple))
@@ -221,38 +217,7 @@ def _coerce_one(key: str, value: Any) -> Any:
         ):
             raise ConfigError(f"{key} must be a list of integers, got {value!r}")
         return tuple(int(v) for v in value)
-    raise AssertionError(f"unhandled schema kind {kind}")
-
-
-_SCHEMA = {
-    "seed": "int",
-    "n_tracklets": "int",
-    "n_frames": "int",
-    "n_distractors": "int",
-    "motion": "str",
-    "speed_min": "float",
-    "speed_max": "float",
-    "category": "str",
-    "noise_sigma": "float",
-    "point_widths": "int_list",
-    "head_hidden": "int",
-    "epochs": "int",
-    "batch_size": "int",
-    "lr": "float",
-    "lr_decay": "float",
-    "lr_decay_every": "int",
-    "n_points": "int",
-    "margin": "float",
-    "resample_each_epoch": "bool",
-    "lambda_cls_target": "float",
-    "lambda_cls_motion": "float",
-    "lambda_reg": "float",
-    "flip_prob": "float",
-    "rot_range_deg": "float",
-    "trans_range": "float",
-    "prev_box_shift": "float",
-    "prev_box_yaw_shift_deg": "float",
-}
+    raise AssertionError(f"unhandled field type {kind}")
 
 
 PRESETS: dict[str, dict[str, Any]] = {

@@ -118,7 +118,8 @@ class OpeReport:
     """Scores of one tracker over one set of tracklets.
 
     ``traces`` keeps the raw per-frame (overlaps, errors) per tracklet so
-    downstream analysis never needs to re-run the tracker.
+    downstream analysis never needs to re-run the tracker.  ``mean_wall_ms``
+    is wall time per tracked frame: the given frame 0 is not counted.
     """
 
     tracker: str
@@ -205,6 +206,8 @@ def _build_report(
         {n: (m.success, m.precision, m.n_frames) for n, m in categories.items()}
     )
     n_frames = sum(m.n_frames for m in categories.values())
+    # frame 0 of every tracklet is given, not tracked
+    n_tracked = n_frames - len(tracklets)
     return OpeReport(
         tracker=tracker_name,
         categories=categories,
@@ -212,7 +215,7 @@ def _build_report(
         precision=precision,
         n_frames=n_frames,
         n_tracklets=len(tracklets),
-        mean_wall_ms=total_wall_ms / n_frames,
+        mean_wall_ms=total_wall_ms / n_tracked if n_tracked else 0.0,
         traces=traces,
         failures=tuple(failures),
     )

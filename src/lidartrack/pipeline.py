@@ -13,11 +13,14 @@ network never sees absolute world coordinates.  The override seam
 (`TrackOverrides`) lets any stage be replaced by ground truth, which is how
 the plumbing is validated end to end.
 
-Training runs both stages on cropped frame pairs and teacher-forces the
-discrete structure: stage inputs come from the ground-truth target mask and
-the static/dynamic branch follows the ground-truth motion label, keeping the
-regression targets stationary while the segmentation and motion classifiers
-are still learning.
+Training and inference run the same code for each stage: the prior-mask
+fallback, stage one's rotation to world axes and box construction, and
+stage two's merge, canonicalization, forward pass and rotation.  Training
+teacher-forces the discrete structure: stage inputs come from the
+ground-truth target mask and the static/dynamic branch follows the
+ground-truth motion label, keeping the regression targets stationary while
+the segmentation and motion classifiers are still learning.  Inference takes
+the predicted mask and the predicted branch instead.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ __all__ = [
     "PairExample",
     "PairForward",
     "NetworkTracker",
-    "apply_canonical_correction",
     "canonical_features",
     "prior_target_mask",
     "segment_target",
@@ -141,6 +143,26 @@ def prior_target_mask(st: STCloud, b_prev: Box3D, margin: float = DEFAULT_MARGIN
     return np.where(prev_rows, inside_prev, inside_near)
 
 
+def _with_prior_fallback(
+    mask: np.ndarray, st: STCloud, b_prev: Box3D, margin: float = DEFAULT_MARGIN
+) -> tuple[np.ndarray, bool]:
+    """The given target mask, or the prior mask when it selects nothing.
+
+    Returns the mask in use and whether it is the prior; raises
+    ``DegenerateTargetError`` when the prior is empty too.
+    """
+    if mask.any():
+        return mask, False
+    prior = prior_target_mask(st, b_prev, margin)
+    if not prior.any():
+        raise DegenerateTargetError("no target points under either the predicted or prior mask")
+    return prior, True
+
+
+def _predicted_mask(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
+    return segment_forward(canonical_features(st, b_prev), model).data.argmax(axis=1) == 1
+
+
 def segment_target(
     st: STCloud, model: Model, b_prev: Box3D, margin: float = DEFAULT_MARGIN
 ) -> np.ndarray:
@@ -149,13 +171,7 @@ def segment_target(
     Argmax of the per-point logits; an all-background prediction falls back
     to the prior mask, and an empty prior raises ``DegenerateTargetError``.
     """
-    logits = segment_forward(canonical_features(st, b_prev), model)
-    mask = logits.data.argmax(axis=1) == 1
-    if not mask.any():
-        mask = prior_target_mask(st, b_prev, margin)
-    if not mask.any():
-        raise DegenerateTargetError("no target points under either the predicted or prior mask")
-    return mask
+    return _with_prior_fallback(_predicted_mask(st, model, b_prev), st, b_prev, margin)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +190,12 @@ class Stage1Output:
 
     @property
     def dynamic(self) -> bool:
-        # index 1 is the dynamic class; argmax resolves a tie to static
-        return int(np.argmax(self.motion_logits)) == 1
+        return _dynamic_from_logits(self.motion_logits)
+
+
+def _dynamic_from_logits(logits: np.ndarray) -> bool:
+    # index 1 is the dynamic class; argmax resolves a tie to static
+    return int(np.argmax(logits)) == 1
 
 
 def _yaw_block(yaw: float) -> np.ndarray:
@@ -183,6 +203,47 @@ def _yaw_block(yaw: float) -> np.ndarray:
     m = np.eye(4)
     m[:3, :3] = yaw_matrix(yaw)
     return m
+
+
+@dataclass(frozen=True)
+class _Stage1Graph:
+    """Stage one's world-frame graph nodes and the boxes they produce."""
+
+    rtm4: Tensor
+    logits: Tensor
+    refine4: Tensor
+    rtm: RTM
+    refined_prev_box: Box3D
+    coarse_box: Box3D
+    dynamic: bool
+
+
+def _stage1(
+    canon_xyzt: np.ndarray, b_prev: Box3D, model: Model, dynamic: Optional[bool]
+) -> _Stage1Graph:
+    """Run stage one on canonical, network-scaled target points (n, 4).
+
+    Both regressed 4-vectors are rotated from the previous-box frame to world
+    axes.  The static/dynamic branch is ``dynamic`` when given (training
+    follows the label) and the argmax of the motion logits otherwise.
+    """
+    rtm4_c, logits, refine4_c = stage1_forward(canon_xyzt, model)
+    block = _yaw_block(b_prev.yaw)
+    rtm4 = matmul_const(rtm4_c, block)
+    refine4 = matmul_const(refine4_c, block)
+    if dynamic is None:
+        dynamic = _dynamic_from_logits(logits.data[0])
+    rtm = RTM(*rtm4.data[0])
+    refined = apply_rtm(b_prev, RTM(*refine4.data[0]))
+    return _Stage1Graph(
+        rtm4=rtm4,
+        logits=logits,
+        refine4=refine4,
+        rtm=rtm,
+        refined_prev_box=refined,
+        coarse_box=apply_rtm(refined, rtm) if dynamic else refined,
+        dynamic=dynamic,
+    )
 
 
 def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
@@ -193,16 +254,12 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
     canon = pts.copy()
     canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
     canon *= COORD_SCALE
-    rtm4_c, logits, refine4_c = stage1_forward(canon, model)
-    block = _yaw_block(b_prev.yaw)
-    rtm = RTM(*(block @ rtm4_c.data[0]))
-    refined = apply_rtm(b_prev, RTM(*(block @ refine4_c.data[0])))
-    dynamic = int(np.argmax(logits.data[0])) == 1
+    g = _stage1(canon, b_prev, model, dynamic=None)
     return Stage1Output(
-        rtm=rtm,
-        motion_logits=logits.data[0].astype(np.float64),
-        refined_prev_box=refined,
-        coarse_box=apply_rtm(refined, rtm) if dynamic else refined,
+        rtm=g.rtm,
+        motion_logits=g.logits.data[0].astype(np.float64),
+        refined_prev_box=g.refined_prev_box,
+        coarse_box=g.coarse_box,
     )
 
 
@@ -211,32 +268,29 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
 # ---------------------------------------------------------------------------
 
 
-def apply_canonical_correction(box: Box3D, vec4) -> Box3D:
-    """Move a box by a 4-vector expressed in its own frame.
+def _stage2(
+    prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output | _Stage1Graph, model: Model
+) -> Tensor:
+    """World-frame residual (1, 4) of the coarse box from stage one's output.
 
-    The translation part is rotated by the box yaw before being added to the
-    center; the last component increments the yaw.
+    Stage one's motion moves the previous target points onto the current
+    ones, and the merged points are expressed in its coarse-box frame.
     """
-    v = np.asarray(vec4, dtype=np.float64).reshape(4)
-    return Box3D(
-        center=box.center + yaw_matrix(box.yaw) @ v[:3],
-        size=box.size,
-        yaw=box.yaw + v[3],
+    merged = motion_assisted_merge(
+        prev_xyz, cur_xyz, s1.rtm, prev_box=s1.refined_prev_box, dynamic=s1.dynamic
     )
+    out4 = stage2_forward(world_to_canonical(merged, s1.coarse_box) * COORD_SCALE, model)
+    return matmul_const(out4, _yaw_block(s1.coarse_box.yaw))
 
 
 def stage2_refine(
     prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output, model: Model
 ) -> Box3D:
     """Refine the coarse box from the motion-merged target points."""
-    merged = motion_assisted_merge(
-        prev_xyz, cur_xyz, s1.rtm, prev_box=s1.refined_prev_box, dynamic=s1.dynamic
-    )
-    if merged.shape[0] == 0:
+    if len(prev_xyz) + len(cur_xyz) == 0:
         return s1.coarse_box
-    canon = world_to_canonical(merged, s1.coarse_box) * COORD_SCALE
-    out4 = stage2_forward(canon, model)
-    return apply_canonical_correction(s1.coarse_box, out4.data[0])
+    residual = _stage2(prev_xyz, cur_xyz, s1, model)
+    return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +382,15 @@ def track_frame(
         return b_prev, _degenerate_diag(frame_index, b_prev, t0)
 
     st = with_channels(build_st_cloud(prev_crop, cur_crop), b_prev)
-    fallback = False
     if overrides is not None and overrides.segment_fn is not None:
         mask = np.asarray(overrides.segment_fn(frame_index, st, b_prev), dtype=bool).reshape(-1)
         if mask.shape[0] != len(st):
             raise ValueError(f"override mask length {mask.shape[0]} != cloud size {len(st)}")
     else:
-        logits = segment_forward(canonical_features(st, b_prev), model)
-        mask = logits.data.argmax(axis=1) == 1
-    if not mask.any():
-        fallback = True
-        mask = prior_target_mask(st, b_prev, margin)
-    if not mask.any():
+        mask = _predicted_mask(st, model, b_prev)
+    try:
+        mask, fallback = _with_prior_fallback(mask, st, b_prev, margin)
+    except DegenerateTargetError:
         return b_prev, _degenerate_diag(frame_index, b_prev, t0)
 
     targets = st.points[mask]
@@ -403,16 +454,15 @@ def track_frames(
 def track_sequence(
     tracklet: Tracklet,
     model: Model,
-    initial_box: Optional[Box3D] = None,
     seed: int = 0,
     overrides: Optional[TrackOverrides] = None,
     margin: float = DEFAULT_MARGIN,
     n_points: int = DEFAULT_POINTS,
 ) -> TrackResult:
-    """Track a tracklet, seeding from its first ground-truth box by default."""
-    start = initial_box if initial_box is not None else tracklet.gt_boxes[0]
+    """Track a tracklet from its first ground-truth box."""
     return track_frames(
-        tracklet.frames, start, model, seed=seed, overrides=overrides, margin=margin, n_points=n_points
+        tracklet.frames, tracklet.gt_boxes[0], model,
+        seed=seed, overrides=overrides, margin=margin, n_points=n_points,
     )
 
 
@@ -455,9 +505,10 @@ def make_oracle_overrides(tracklet: Tracklet) -> TrackOverrides:
 
     def stage1(i: int, targets: np.ndarray, b_prev: Box3D) -> Stage1Output:
         m = infer_rtm(boxes[i - 1], boxes[i])
-        dynamic = is_dynamic(m)
-        coarse = apply_rtm(b_prev, m) if dynamic else b_prev
-        logits = np.array([0.0, 1.0]) if dynamic else np.array([1.0, 0.0])
+        # the logits follow the motion label, but the box follows the motion
+        # itself: a slow mover labeled static still moves
+        coarse = apply_rtm(b_prev, m) if m.as_vector().any() else b_prev
+        logits = np.array([0.0, 1.0]) if is_dynamic(m) else np.array([1.0, 0.0])
         return Stage1Output(rtm=m, motion_logits=logits, refined_prev_box=b_prev, coarse_box=coarse)
 
     def stage2(i: int, prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output) -> Box3D:
@@ -606,54 +657,42 @@ def forward_pair(
     Training teacher-forces the structure the losses cannot supervise
     directly: the stage inputs use the ground-truth target mask and the
     static/dynamic branch follows the ground-truth motion label, while the
-    motion values themselves stay predicted.  Inference swaps in the
-    predicted mask and predicted branch.  Returns None when no mask
-    survives even after the prior fallback.
+    motion values themselves stay predicted.  Inference runs the same stage
+    code with the predicted mask and predicted branch.  Returns None when no
+    mask survives even after the prior fallback.
     """
-    mask = example.seg_labels.astype(bool)
-    if not mask.any():
-        mask = prior_target_mask(example.st, example.b_prev, margin)
-    if not mask.any():
-        return None
     b_prev = example.b_prev
-    dynamic = bool(example.motion_label)
-
-    rtm4_c, logits, refine4_c = stage1_forward(example.features[mask, :4], model)
-    block = _yaw_block(b_prev.yaw)
-    rtm4_w = matmul_const(rtm4_c, block)
-    refine4_w = matmul_const(refine4_c, block)
-
-    refined = apply_rtm(b_prev, RTM(*refine4_w.data[0]))
-    coarse = apply_rtm(refined, RTM(*rtm4_w.data[0])) if dynamic else refined
+    try:
+        mask, _ = _with_prior_fallback(example.seg_labels.astype(bool), example.st, b_prev, margin)
+    except DegenerateTargetError:
+        return None
+    s1 = _stage1(example.features[mask, :4], b_prev, model, dynamic=bool(example.motion_label))
 
     base4 = np.array([[*b_prev.center, b_prev.yaw]])
-    shift = add(refine4_w, rtm4_w) if dynamic else refine4_w
+    shift = add(s1.refine4, s1.rtm4) if s1.dynamic else s1.refine4
     box1_4 = add_const(shift, base4)
 
     # the merge geometry is driven by predicted motion values; only the
     # stage-two output vector carries gradient here
     prev_xyz, cur_xyz = split_by_time(example.st, mask)
-    merged = motion_assisted_merge(
-        prev_xyz, cur_xyz, RTM(*rtm4_w.data[0]), prev_box=refined, dynamic=dynamic
-    )
-    out4 = stage2_forward(world_to_canonical(merged, coarse) * COORD_SCALE, model)
+    coarse = s1.coarse_box
     coarse4 = np.array([[*coarse.center, coarse.yaw]])
-    box2_4 = add_const(matmul_const(out4, _yaw_block(coarse.yaw)), coarse4)
+    box2_4 = add_const(_stage2(prev_xyz, cur_xyz, s1, model), coarse4)
 
     rtm_t = example.rtm_target.as_vector()
     refine_t = example.refine_target.as_vector()
     return PairForward(
-        motion_logits=logits,
+        motion_logits=s1.logits,
         motion_label=example.motion_label,
-        rtm4=rtm4_w,
-        rtm_target=_aligned_vec4(rtm_t[:3], rtm_t[3], rtm4_w.data[0, 3]),
-        refine4=refine4_w,
-        refine_target=_aligned_vec4(refine_t[:3], refine_t[3], refine4_w.data[0, 3]),
+        rtm4=s1.rtm4,
+        rtm_target=_aligned_vec4(rtm_t[:3], rtm_t[3], s1.rtm4.data[0, 3]),
+        refine4=s1.refine4,
+        refine_target=_aligned_vec4(refine_t[:3], refine_t[3], s1.refine4.data[0, 3]),
         box1_4=box1_4,
         box1_target=_aligned_vec4(example.gt_cur.center, example.gt_cur.yaw, box1_4.data[0, 3]),
         box2_4=box2_4,
         box2_target=_aligned_vec4(example.gt_cur.center, example.gt_cur.yaw, box2_4.data[0, 3]),
-        refined_prev_box=refined,
+        refined_prev_box=s1.refined_prev_box,
         coarse_box=coarse,
     )
 

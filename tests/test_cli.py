@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="epochs"):
             ExperimentConfig.from_sources(config_file=path2)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lr", "fast"), ("resample_each_epoch", 1), ("motion", 3), ("point_widths", [64, 1.5])],
+    )
+    def test_wrong_type_names_key(self, tmp_path, key, value):
+        path = write_config(tmp_path / "c.json", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_sources(config_file=path)
+
     def test_bad_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="motion"):
             ExperimentConfig.from_sources(overrides={"motion": "warp"})
@@ -371,7 +380,3 @@ class TestEntryPoint:
         assert proc.returncode == 1
         err = json.loads(proc.stderr)
         assert set(err) >= {"error", "message"}
-
-    def test_threads_must_be_positive(self, tmp_path):
-        rc = main(["generate", "--out", str(tmp_path / "ds"), "--threads", "0"])
-        assert rc == 2

@@ -326,6 +326,24 @@ class TestScorePredictions:
         with pytest.raises(ValueError, match="frame"):
             score_predictions(path, [t])
 
+    def test_mean_wall_counts_tracked_frames_only(self, tmp_path):
+        import json
+
+        tracklets = [generate_synthetic_tracklet(SceneSpec(n_frames=n, seed=23 + n)) for n in (4, 7)]
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(
+            json.dumps({
+                "tracklet_id": t.id,
+                "frame_index": i,
+                "box": [float(v) for v in box.as_vector()],
+                "dynamic": False,
+                "wall_ms": 0.0 if i == 0 else 2.0,
+            }) + "\n"
+            for t in tracklets
+            for i, box in enumerate(t.gt_boxes)
+        ))
+        assert score_predictions(path, tracklets).mean_wall_ms == 2.0
+
 
 class TestReportRendering:
     def test_table_contains_categories_and_overall(self):

@@ -35,7 +35,6 @@ from lidartrack.pipeline import (
     Stage1Output,
     TrackOverrides,
     TrainConfig,
-    apply_canonical_correction,
     canonical_features,
     forward_pair,
     make_oracle_overrides,
@@ -52,7 +51,7 @@ from lidartrack.pipeline import (
     train,
     export_predictions,
 )
-from lidartrack.pointcloud import Frame, build_st_cloud, with_channels
+from lidartrack.pointcloud import Frame, build_st_cloud, split_by_time, with_channels
 
 NO_AUG = AugmentConfig(
     flip_prob=0.0, rot_range=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift=0.0
@@ -196,14 +195,18 @@ class TestStage2Refine:
 
     def test_canonical_residual_recovers_gt(self):
         rng = np.random.default_rng(5)
+        model = Model(ModelConfig(dtype="float64"))
+        w, b = model.stage2_head.layers[-1]
+        w.data[:] = 0.0
         for _ in range(30):
             coarse = Box3D(center=rng.uniform(-5, 5, 3), size=[1.8, 4.0, 1.6], yaw=rng.uniform(-3, 3))
             gt = Box3D(center=coarse.center + rng.uniform(-1, 1, 3), size=coarse.size,
                        yaw=coarse.yaw + rng.uniform(-0.5, 0.5))
-            # residual computed from first principles in the coarse frame
+            # residual computed from first principles in the coarse frame,
+            # emitted by the stage-two head whatever its input
             delta = yaw_matrix(-coarse.yaw) @ (np.asarray(gt.center) - np.asarray(coarse.center))
-            residual = np.array([delta[0], delta[1], delta[2], wrap_angle(gt.yaw - coarse.yaw)])
-            got = apply_canonical_correction(coarse, residual)
+            b.data[:] = [delta[0], delta[1], delta[2], wrap_angle(gt.yaw - coarse.yaw)]
+            got = stage2_refine(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), self.make_s1(coarse), model)
             np.testing.assert_allclose(got.center, gt.center, atol=1e-9)
             assert abs(wrap_angle(got.yaw - gt.yaw)) < 1e-9
 
@@ -259,6 +262,16 @@ class TestTrackSequence:
     def test_full_oracle_tracks_gt(self):
         for seed, motion in ((11, "constant_velocity"), (12, "turning"), (13, "static")):
             spec = SceneSpec(motion=motion, speed_range=(0.5, 2.0), n_frames=8, n_distractors=2, seed=seed)
+            t = generate_synthetic_tracklet(spec)
+            res = track_sequence(t, model=model32(), overrides=make_oracle_overrides(t))
+            for pred, gt in zip(res.boxes, t.gt_boxes):
+                assert iou3d(pred, gt) >= 1 - 1e-6
+
+    def test_full_oracle_tracks_slow_movers(self):
+        # every step is below the dynamic threshold, so the motion label is
+        # static while the target still moves
+        for seed, motion in ((23, "constant_velocity"), (24, "turning")):
+            spec = SceneSpec(motion=motion, speed_range=(0.02, 0.12), n_frames=8, n_distractors=2, seed=seed)
             t = generate_synthetic_tracklet(spec)
             res = track_sequence(t, model=model32(), overrides=make_oracle_overrides(t))
             for pred, gt in zip(res.boxes, t.gt_boxes):
@@ -408,24 +421,39 @@ class TestTraining:
         assert ex is not None
         fwd = forward_pair(ex, model)
         assert fwd is not None
-        # same mask, same prev box: the inference entry point must apply the
-        # same canonicalization and box math the training graph used
+        # same mask, same prev box: the inference entry points run the same
+        # stage code the training graph used
         mask = ex.seg_labels.astype(bool)
         if not mask.any():
             mask = prior_target_mask(ex.st, ex.b_prev)
         s1 = stage1_predict(ex.st.points[mask], ex.b_prev, model)
-        np.testing.assert_allclose(
-            s1.refined_prev_box.as_vector(), fwd.refined_prev_box.as_vector(), atol=1e-12
-        )
-        np.testing.assert_allclose(s1.rtm.as_vector(), fwd.rtm4.data[0], atol=1e-12)
+        np.testing.assert_array_equal(s1.refined_prev_box.as_vector(), fwd.refined_prev_box.as_vector())
+        np.testing.assert_array_equal(s1.rtm.as_vector(), RTM(*fwd.rtm4.data[0]).as_vector())
+        np.testing.assert_array_equal(s1.motion_logits, fwd.motion_logits.data[0])
         want_coarse = (
             apply_rtm(fwd.refined_prev_box, RTM(*fwd.rtm4.data[0]))
             if ex.motion_label
             else fwd.refined_prev_box
         )
-        np.testing.assert_allclose(
-            fwd.coarse_box.as_vector(), want_coarse.as_vector(), atol=1e-12
+        np.testing.assert_array_equal(fwd.coarse_box.as_vector(), want_coarse.as_vector())
+
+        # stage two on the training branch: the world-frame residual (the
+        # input of box2_4's base addition) is identical on both paths, and the
+        # boxes differ only because training adds the base in float32
+        s1_train = Stage1Output(
+            rtm=RTM(*fwd.rtm4.data[0]),
+            motion_logits=np.eye(2)[ex.motion_label],
+            refined_prev_box=fwd.refined_prev_box,
+            coarse_box=fwd.coarse_box,
         )
+        box = stage2_refine(*split_by_time(ex.st, mask), s1_train, model)
+        (residual,) = fwd.box2_4.parents
+        want = apply_rtm(fwd.coarse_box, RTM(*residual.data[0]))
+        np.testing.assert_array_equal(box.as_vector(), want.as_vector())
+        box2 = fwd.box2_4.data[0].astype(np.float64)
+        tol = 2 * np.finfo(np.float32).eps * np.abs(box2).max()
+        np.testing.assert_allclose(box.center, box2[:3], rtol=0, atol=tol)
+        assert abs(wrap_angle(box.yaw - box2[3])) <= tol
 
 
 class TestExportPredictions:
