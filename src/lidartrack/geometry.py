@@ -24,7 +24,6 @@ dataclasses are copied and frozen.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -71,18 +70,14 @@ def wrap_angle(a):
         ``a`` reduced modulo 2*pi into ``(-pi, pi]``; in particular
         ``wrap_angle(-pi) == pi``.
     """
-    if np.ndim(a) == 0:
-        # Python's float % follows the same floor-mod rule as np.mod
-        x = float(a)
-        if not math.isfinite(x):
-            raise ValueError("wrap_angle requires finite input")
-        out = (x + math.pi) % (2.0 * math.pi) - math.pi
-        return math.pi if out == -math.pi else out
     arr = np.asarray(a, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_angle requires finite input")
     out = np.mod(arr + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(out == -np.pi, np.pi, out)
+    out = np.where(out == -np.pi, np.pi, out)
+    if np.isscalar(a) or np.ndim(a) == 0:
+        return float(out)
+    return out
 
 
 def yaw_matrix(yaw: float) -> np.ndarray:
@@ -93,7 +88,7 @@ def yaw_matrix(yaw: float) -> np.ndarray:
 
 def _frozen_vector(v, n: int, name: str) -> np.ndarray:
     arr = np.array(v, dtype=np.float64).reshape(n)
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.flags.writeable = False
     return arr
@@ -122,7 +117,7 @@ class Box3D:
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen_vector(self.center, 3, "center"))
         size = _frozen_vector(self.size, 3, "size")
-        if not (size > 0).all():
+        if not np.all(size > 0):
             raise ValueError(f"size components must be positive, got {size}")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
@@ -228,12 +223,12 @@ def points_in_box(points: np.ndarray, b: Box3D, atol: float = CONTAINMENT_ATOL) 
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
+    if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     local = world_to_canonical(pts, b)
     w, l, h = b.size
     half = np.array([l / 2, w / 2, h / 2]) + atol
-    return (np.abs(local) <= half).all(axis=1)
+    return np.all(np.abs(local) <= half, axis=1)
 
 
 def world_to_canonical(points: np.ndarray, b: Box3D) -> np.ndarray:

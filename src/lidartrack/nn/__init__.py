@@ -22,7 +22,6 @@ from lidartrack.nn.autograd import (
     scale,
     segment_maxpool,
     slice_cols,
-    slice_rows,
     sub,
     zero_grad,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "segment_forward_batched",
     "segment_maxpool",
     "slice_cols",
-    "slice_rows",
     "stage1_forward",
     "stage2_forward",
     "sub",

@@ -8,7 +8,7 @@ topological order and accumulates gradients into every Tensor that
 requires them.
 
 The op set is deliberately small: affine layers, ReLU, row-wise max
-pooling, row repetition, column concat/slice, row slice, elementwise add/sub/scale,
+pooling, row repetition, column concat/slice, elementwise add/sub/scale,
 and multiplication by a constant matrix.  That is enough to express every
 network in this package while keeping each backward rule a few lines of
 numpy.  New ops can be added from outside by constructing a Tensor with
@@ -36,7 +36,6 @@ __all__ = [
     "repeat_rows",
     "concat_cols",
     "slice_cols",
-    "slice_rows",
     "add",
     "sub",
     "scale",
@@ -136,8 +135,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear shape mismatch: x {x.data.shape} vs w {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ValueError(f"linear bias shape {b.data.shape} does not match w {w.data.shape}")
-    out = x.data @ w.data
-    out += b.data
+    out = x.data @ w.data + b.data
 
     def bw(g: np.ndarray):
         gx = g @ w.data.T if x.requires_grad else None
@@ -160,35 +158,23 @@ def relu(x: Tensor) -> Tensor:
     )
 
 
-def segment_maxpool(x: Tensor, segments) -> Tensor:
-    """Per-column max over consecutive row blocks, one output row per block.
-
-    ``segments`` is either a block count, splitting the rows into that many
-    equal blocks, or the sequence of block lengths (each at least 1).
-    """
+def segment_maxpool(x: Tensor, segments: int) -> Tensor:
+    """Per-column max over each of `segments` equal consecutive row blocks."""
     _as2d(x, "segment_maxpool")
     rows, cols = x.data.shape
     if rows == 0:
         raise ValueError("segment_maxpool on an empty input")
-    if isinstance(segments, (int, np.integer)):
-        if segments < 1 or rows % segments != 0:
-            raise ValueError(f"{rows} rows do not split into {segments} equal segments")
-        lengths = [rows // segments] * int(segments)
-    else:
-        lengths = [int(n) for n in segments]
-        if not lengths or min(lengths) < 1 or sum(lengths) != rows:
-            raise ValueError(f"segment lengths {lengths} do not partition {rows} rows")
-    stops = np.cumsum(lengths)
-    blocks = [x.data[stop - n : stop] for n, stop in zip(lengths, stops)]
-    out = np.stack([blk.max(axis=0) for blk in blocks])
+    if segments < 1 or rows % segments != 0:
+        raise ValueError(f"{rows} rows do not split into {segments} equal segments")
+    n = rows // segments
+    blocks = x.data.reshape(segments, n, cols)
+    arg = blocks.argmax(axis=1)  # ties resolve to the lowest row
+    out = np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :]
 
     def bw(g: np.ndarray):
-        gx = np.zeros_like(x.data)
-        col = np.arange(cols)
-        for i, blk in enumerate(blocks):
-            # ties resolve to the lowest row
-            gx[stops[i] - len(blk) + blk.argmax(axis=0), col] = g[i]
-        return (gx,)
+        gx = np.zeros_like(blocks)
+        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
+        return (gx.reshape(rows, cols),)
 
     return Tensor(out, parents=(x,), backward_fn=bw, op="segment_maxpool")
 
@@ -238,20 +224,6 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
         return (gx,)
 
     return Tensor(out, parents=(x,), backward_fn=bw, op="slice_cols")
-
-
-def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
-    _as2d(x, "slice_rows")
-    if not (0 <= lo < hi <= x.data.shape[0]):
-        raise ValueError(f"row slice [{lo}, {hi}) out of range for shape {x.data.shape}")
-    out = x.data[lo:hi].copy()
-
-    def bw(g: np.ndarray):
-        gx = np.zeros_like(x.data)
-        gx[lo:hi] = g
-        return (gx,)
-
-    return Tensor(out, parents=(x,), backward_fn=bw, op="slice_rows")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -3,11 +3,9 @@
 The model owns seven small MLPs.  Segmentation runs a per-point trunk and
 classifies each point from its local feature joined with the pooled global
 feature.  The two regression stages each run a per-point encoder, pool to a
-single embedding, and decode with linear heads.  Every forward also takes
-several samples' rows stacked, pooling each sample separately, so a training
-batch is one pass per network.  All forwards accept plain arrays and lift
-them into the autograd graph, so the same code path serves training and
-inference.
+single embedding, and decode with linear heads.  All forwards accept plain
+arrays and lift them into the autograd graph, so the same code path serves
+training and inference.
 
 Checkpoints are a single binary file: magic, format version, a JSON header
 (config echo plus caller metadata), then raw little-endian float32
@@ -29,6 +27,7 @@ from lidartrack.nn.autograd import (
     Tensor,
     concat_cols,
     linear,
+    maxpool_points,
     relu,
     repeat_rows,
     segment_maxpool,
@@ -178,18 +177,16 @@ def segment_forward(features, model: Model) -> Tensor:
     return segment_forward_batched(features, model, batch=1)
 
 
-def stage1_forward(points, model: Model, lengths=None) -> tuple[Tensor, Tensor, Tensor]:
+def stage1_forward(points, model: Model) -> tuple[Tensor, Tensor, Tensor]:
     """Encode segmented target points (n, 4) into motion outputs.
 
     Returns (motion 4-vector, dynamic/static logits, previous-box
-    refinement 4-vector), each a (1, k) graph node.  With ``lengths``,
-    ``points`` holds that many samples' rows concatenated and each output
-    has one row per sample.
+    refinement 4-vector), each a (1, k) graph node.
     """
     x = model.lift(points)
     if x.data.ndim != 2 or x.data.shape[1] != STAGE1_IN:
         raise ValueError(f"expected (n, {STAGE1_IN}) points, got {x.data.shape}")
-    emb = segment_maxpool(model.stage1_encoder(x), 1 if lengths is None else lengths)
+    emb = maxpool_points(model.stage1_encoder(x))
     motion = model.motion_head(emb)
     rtm4 = slice_cols(motion, 0, RTM_DIM)
     logits = slice_cols(motion, RTM_DIM, MOTION_OUT)
@@ -197,17 +194,12 @@ def stage1_forward(points, model: Model, lengths=None) -> tuple[Tensor, Tensor, 
     return rtm4, logits, refine4
 
 
-def stage2_forward(points, model: Model, lengths=None) -> Tensor:
-    """Refinement 4-vector (1, 4) from merged points (n, 3) in the coarse frame.
-
-    With ``lengths``, ``points`` holds that many samples' rows concatenated
-    and the output has one row per sample.
-    """
+def stage2_forward(points, model: Model) -> Tensor:
+    """Refinement 4-vector (1, 4) from merged points (n, 3) in the coarse frame."""
     x = model.lift(points)
     if x.data.ndim != 2 or x.data.shape[1] != STAGE2_IN:
         raise ValueError(f"expected (n, {STAGE2_IN}) points, got {x.data.shape}")
-    emb = segment_maxpool(model.stage2_trunk(x), 1 if lengths is None else lengths)
-    return model.stage2_head(emb)
+    return model.stage2_head(maxpool_points(model.stage2_trunk(x)))
 
 
 def _header_dict(model: Model, extra: dict | None) -> dict:

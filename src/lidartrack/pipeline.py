@@ -15,8 +15,7 @@ the plumbing is validated end to end.
 
 Training and inference run the same code for each stage: the prior-mask
 fallback, stage one's rotation to world axes and box construction, and
-stage two's merge, canonicalization, forward pass and rotation; a training
-batch runs each stage's networks once for all its pairs.  Training
+stage two's merge, canonicalization, forward pass and rotation.  Training
 teacher-forces the discrete structure: stage inputs come from the
 ground-truth target mask and the static/dynamic branch follows the
 ground-truth motion label, keeping the regression targets stationary while
@@ -58,7 +57,6 @@ from lidartrack.nn import (
     scale,
     segment_forward,
     segment_forward_batched,
-    slice_rows,
     stage1_forward,
     stage2_forward,
     zero_grad,
@@ -96,7 +94,6 @@ __all__ = [
     "make_oracle_overrides",
     "prepare_pair_example",
     "forward_pair",
-    "forward_pairs",
     "total_loss",
     "scheduled_lr",
     "train",
@@ -210,60 +207,39 @@ def _yaw_block(yaw: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Stage1Graph:
-    """Stage one's world-frame graph nodes and the boxes they produce."""
+    """Stage one's result, the branch it took, and its world-frame graph nodes."""
 
+    output: Stage1Output
+    dynamic: bool
     rtm4: Tensor
     logits: Tensor
     refine4: Tensor
-    rtm: RTM
-    refined_prev_box: Box3D
-    coarse_box: Box3D
-    dynamic: bool
-
-
-def _row(t: Tensor, i: int) -> Tensor:
-    return t if t.data.shape[0] == 1 else slice_rows(t, i, i + 1)
 
 
 def _stage1(
-    canon_xyzt: Sequence[np.ndarray],
-    b_prevs: Sequence[Box3D],
-    model: Model,
-    dynamic: Sequence[Optional[bool]],
-) -> list[_Stage1Graph]:
-    """Run stage one on canonical, network-scaled target points.
+    canon_xyzt: np.ndarray, b_prev: Box3D, model: Model, dynamic: Optional[bool]
+) -> _Stage1Graph:
+    """Run stage one on canonical, network-scaled target points (n, 4).
 
-    One (n, 4) array per sample; all samples share one network pass.  Both
-    regressed 4-vectors are rotated from each previous-box frame to world
-    axes.  A sample's static/dynamic branch is its ``dynamic`` entry when
-    given (training follows the label) and the argmax of its motion logits
-    otherwise.
+    Both regressed 4-vectors are rotated from the previous-box frame to world
+    axes.  The static/dynamic branch is ``dynamic`` when given (training
+    follows the label) and the argmax of the motion logits otherwise.
     """
-    rtm4_c, logits_all, refine4_c = stage1_forward(
-        np.vstack(canon_xyzt), model, [len(c) for c in canon_xyzt]
+    rtm4_c, logits, refine4_c = stage1_forward(canon_xyzt, model)
+    block = _yaw_block(b_prev.yaw)
+    rtm4 = matmul_const(rtm4_c, block)
+    refine4 = matmul_const(refine4_c, block)
+    if dynamic is None:
+        dynamic = _dynamic_from_logits(logits.data[0])
+    rtm = RTM(*rtm4.data[0])
+    refined = apply_rtm(b_prev, RTM(*refine4.data[0]))
+    output = Stage1Output(
+        rtm=rtm,
+        motion_logits=logits.data[0].astype(np.float64),
+        refined_prev_box=refined,
+        coarse_box=apply_rtm(refined, rtm) if dynamic else refined,
     )
-    graphs = []
-    for i, (b_prev, dyn) in enumerate(zip(b_prevs, dynamic)):
-        block = _yaw_block(b_prev.yaw)
-        rtm4 = matmul_const(_row(rtm4_c, i), block)
-        refine4 = matmul_const(_row(refine4_c, i), block)
-        logits = _row(logits_all, i)
-        if dyn is None:
-            dyn = _dynamic_from_logits(logits.data[0])
-        rtm = RTM(*rtm4.data[0])
-        refined = apply_rtm(b_prev, RTM(*refine4.data[0]))
-        graphs.append(
-            _Stage1Graph(
-                rtm4=rtm4,
-                logits=logits,
-                refine4=refine4,
-                rtm=rtm,
-                refined_prev_box=refined,
-                coarse_box=apply_rtm(refined, rtm) if dyn else refined,
-                dynamic=dyn,
-            )
-        )
-    return graphs
+    return _Stage1Graph(output=output, dynamic=dynamic, rtm4=rtm4, logits=logits, refine4=refine4)
 
 
 def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
@@ -274,13 +250,7 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
     canon = pts.copy()
     canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
     canon *= COORD_SCALE
-    (g,) = _stage1([canon], [b_prev], model, dynamic=[None])
-    return Stage1Output(
-        rtm=g.rtm,
-        motion_logits=g.logits.data[0].astype(np.float64),
-        refined_prev_box=g.refined_prev_box,
-        coarse_box=g.coarse_box,
-    )
+    return _stage1(canon, b_prev, model, dynamic=None).output
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +259,19 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
 
 
 def _stage2(
-    inputs: Sequence[tuple[np.ndarray, np.ndarray, Stage1Output | _Stage1Graph]], model: Model
-) -> list[Tensor]:
-    """World-frame residuals (1, 4) of the coarse boxes from stage one's outputs.
+    prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output, model: Model, dynamic: bool
+) -> Tensor:
+    """World-frame residual (1, 4) of the coarse box from stage one's output.
 
-    One (prev_xyz, cur_xyz, stage-one output) triple per sample, each with
-    at least one point; all samples share one network pass.  Stage one's
-    motion moves the previous target points onto the current ones, and the
-    merged points are expressed in its coarse-box frame.
+    Stage one's motion moves the previous target points onto the current
+    ones on the ``dynamic`` branch, and the merged points are expressed in
+    its coarse-box frame.
     """
-    canon = [
-        world_to_canonical(
-            motion_assisted_merge(
-                prev_xyz, cur_xyz, s1.rtm, prev_box=s1.refined_prev_box, dynamic=s1.dynamic
-            ),
-            s1.coarse_box,
-        )
-        * COORD_SCALE
-        for prev_xyz, cur_xyz, s1 in inputs
-    ]
-    out4 = stage2_forward(np.vstack(canon), model, [len(c) for c in canon])
-    return [
-        matmul_const(_row(out4, i), _yaw_block(s1.coarse_box.yaw))
-        for i, (_, _, s1) in enumerate(inputs)
-    ]
+    merged = motion_assisted_merge(
+        prev_xyz, cur_xyz, s1.rtm, prev_box=s1.refined_prev_box, dynamic=dynamic
+    )
+    out4 = stage2_forward(world_to_canonical(merged, s1.coarse_box) * COORD_SCALE, model)
+    return matmul_const(out4, _yaw_block(s1.coarse_box.yaw))
 
 
 def stage2_refine(
@@ -321,7 +280,7 @@ def stage2_refine(
     """Refine the coarse box from the motion-merged target points."""
     if len(prev_xyz) + len(cur_xyz) == 0:
         return s1.coarse_box
-    (residual,) = _stage2([(prev_xyz, cur_xyz, s1)], model)
+    residual = _stage2(prev_xyz, cur_xyz, s1, model, s1.dynamic)
     return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
 
 
@@ -681,71 +640,52 @@ def _aligned_vec4(values3, yaw_target: float, pred_yaw: float) -> np.ndarray:
     return v
 
 
-def forward_pairs(
-    examples: Sequence[PairExample], model: Model, margin: float = DEFAULT_MARGIN
-) -> list[Optional[PairForward]]:
-    """Build the stage-one and stage-two graphs for prepared pairs.
-
-    Each stage runs one network pass over the whole batch.  Training
-    teacher-forces the structure the losses cannot supervise directly: the
-    stage inputs use the ground-truth target mask and the static/dynamic
-    branch follows the ground-truth motion label, while the motion values
-    themselves stay predicted.  Inference runs the same stage code with the
-    predicted mask and predicted branch.  A pair's entry is None when no
-    mask survives even after the prior fallback.
-    """
-    live: list[tuple[int, PairExample, np.ndarray]] = []
-    for i, ex in enumerate(examples):
-        try:
-            mask, _ = _with_prior_fallback(ex.seg_labels.astype(bool), ex.st, ex.b_prev, margin)
-        except DegenerateTargetError:
-            continue
-        live.append((i, ex, mask))
-    out: list[Optional[PairForward]] = [None] * len(examples)
-    if not live:
-        return out
-    stage1 = _stage1(
-        [ex.features[mask, :4] for _, ex, mask in live],
-        [ex.b_prev for _, ex, _ in live],
-        model,
-        [bool(ex.motion_label) for _, ex, _ in live],
-    )
-    # the merge geometry is driven by predicted motion values; only the
-    # stage-two output vector carries gradient here
-    residuals = _stage2(
-        [(*split_by_time(ex.st, mask), s1) for (_, ex, mask), s1 in zip(live, stage1)], model
-    )
-    for (i, ex, _), s1, residual in zip(live, stage1, residuals):
-        b_prev = ex.b_prev
-        base4 = np.array([[*b_prev.center, b_prev.yaw]])
-        shift = add(s1.refine4, s1.rtm4) if s1.dynamic else s1.refine4
-        box1_4 = add_const(shift, base4)
-        coarse = s1.coarse_box
-        box2_4 = add_const(residual, np.array([[*coarse.center, coarse.yaw]]))
-        rtm_t = ex.rtm_target.as_vector()
-        refine_t = ex.refine_target.as_vector()
-        out[i] = PairForward(
-            motion_logits=s1.logits,
-            motion_label=ex.motion_label,
-            rtm4=s1.rtm4,
-            rtm_target=_aligned_vec4(rtm_t[:3], rtm_t[3], s1.rtm4.data[0, 3]),
-            refine4=s1.refine4,
-            refine_target=_aligned_vec4(refine_t[:3], refine_t[3], s1.refine4.data[0, 3]),
-            box1_4=box1_4,
-            box1_target=_aligned_vec4(ex.gt_cur.center, ex.gt_cur.yaw, box1_4.data[0, 3]),
-            box2_4=box2_4,
-            box2_target=_aligned_vec4(ex.gt_cur.center, ex.gt_cur.yaw, box2_4.data[0, 3]),
-            refined_prev_box=s1.refined_prev_box,
-            coarse_box=coarse,
-        )
-    return out
-
-
 def forward_pair(
     example: PairExample, model: Model, margin: float = DEFAULT_MARGIN
 ) -> Optional[PairForward]:
-    """``forward_pairs`` for a single pair."""
-    return forward_pairs([example], model, margin)[0]
+    """Build the stage-one and stage-two graphs for one prepared pair.
+
+    Training teacher-forces the structure the losses cannot supervise
+    directly: the stage inputs use the ground-truth target mask and the
+    static/dynamic branch follows the ground-truth motion label, while the
+    motion values themselves stay predicted.  Inference runs the same stage
+    code with the predicted mask and predicted branch.  Returns None when no
+    mask survives even after the prior fallback.
+    """
+    b_prev = example.b_prev
+    try:
+        mask, _ = _with_prior_fallback(example.seg_labels.astype(bool), example.st, b_prev, margin)
+    except DegenerateTargetError:
+        return None
+    g = _stage1(example.features[mask, :4], b_prev, model, dynamic=bool(example.motion_label))
+
+    base4 = np.array([[*b_prev.center, b_prev.yaw]])
+    shift = add(g.refine4, g.rtm4) if g.dynamic else g.refine4
+    box1_4 = add_const(shift, base4)
+
+    # the merge geometry is driven by predicted motion values; only the
+    # stage-two output vector carries gradient here
+    prev_xyz, cur_xyz = split_by_time(example.st, mask)
+    coarse = g.output.coarse_box
+    coarse4 = np.array([[*coarse.center, coarse.yaw]])
+    box2_4 = add_const(_stage2(prev_xyz, cur_xyz, g.output, model, g.dynamic), coarse4)
+
+    rtm_t = example.rtm_target.as_vector()
+    refine_t = example.refine_target.as_vector()
+    return PairForward(
+        motion_logits=g.logits,
+        motion_label=example.motion_label,
+        rtm4=g.rtm4,
+        rtm_target=_aligned_vec4(rtm_t[:3], rtm_t[3], g.rtm4.data[0, 3]),
+        refine4=g.refine4,
+        refine_target=_aligned_vec4(refine_t[:3], refine_t[3], g.refine4.data[0, 3]),
+        box1_4=box1_4,
+        box1_target=_aligned_vec4(example.gt_cur.center, example.gt_cur.yaw, box1_4.data[0, 3]),
+        box2_4=box2_4,
+        box2_target=_aligned_vec4(example.gt_cur.center, example.gt_cur.yaw, box2_4.data[0, 3]),
+        refined_prev_box=g.output.refined_prev_box,
+        coarse_box=coarse,
+    )
 
 
 def _mean_of(terms: list[Tensor]) -> Optional[Tensor]:
@@ -842,8 +782,13 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
                 feats = np.vstack([ex.features for ex in examples])
                 labels = np.concatenate([ex.seg_labels for ex in examples])
                 logits = segment_forward_batched(feats, model, batch=len(examples))
-                fwds = [f for f in forward_pairs(examples, model, cfg.margin) if f is not None]
-                n_skipped += len(examples) - len(fwds)
+                fwds = []
+                for ex in examples:
+                    fwd = forward_pair(ex, model, cfg.margin)
+                    if fwd is None:
+                        n_skipped += 1
+                    else:
+                        fwds.append(fwd)
                 loss, terms = total_loss(
                     logits,
                     labels,

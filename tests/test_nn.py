@@ -106,83 +106,6 @@ class TestMaxpool:
         assert err < 1e-4
 
 
-class TestRaggedMaxpool:
-    def test_each_segment_pools_its_own_rows(self):
-        rng = np.random.default_rng(5)
-        d = rng.normal(size=(9, 4))
-        got = ag.segment_maxpool(Tensor(d), [2, 4, 3]).data
-        want = np.vstack([d[:2].max(axis=0), d[2:6].max(axis=0), d[6:].max(axis=0)])
-        np.testing.assert_array_equal(got, want)
-
-    def test_equal_lengths_match_segment_count(self):
-        d = np.random.default_rng(6).normal(size=(12, 5))
-        np.testing.assert_array_equal(
-            ag.segment_maxpool(Tensor(d), [4, 4, 4]).data, ag.segment_maxpool(Tensor(d), 3).data
-        )
-
-    @pytest.mark.parametrize("lengths", [[], [3, 0, 6], [4, 4], [5, 5]])
-    def test_lengths_must_partition_rows(self, lengths):
-        with pytest.raises(ValueError, match="partition"):
-            ag.segment_maxpool(Tensor(np.zeros((9, 2))), lengths)
-
-    def test_tie_routes_gradient_to_lowest_row_of_segment(self):
-        x = param(np.array([[0.0, 1.0], [5.0, 5.0], [5.0, 5.0], [1.0, 0.0]]))
-        zero_grad([x])
-        backward(huber(ag.segment_maxpool(x, [1, 3]), np.full((2, 2), -1.0)))
-        assert np.all(x.grad[0] != 0.0) and np.all(x.grad[1] != 0.0)
-        assert np.all(x.grad[2:] == 0.0)
-
-    def test_finite_difference(self):
-        rng = np.random.default_rng(7)
-        x = param(rng.normal(size=(10, 5)))
-        target = rng.normal(size=(3, 5))
-        err = grad_check([x], lambda: huber(ag.segment_maxpool(x, [3, 1, 6]), target), rng=rng)
-        assert err < 1e-4
-
-
-class TestBatchedStageForwards:
-    """Several ragged samples in one pass equal one pass per sample."""
-
-    def samples(self, width, seed):
-        rng = np.random.default_rng(seed)
-        return [rng.normal(size=(n, width)) for n in (7, 1, 12)]
-
-    def test_stage1_matches_per_sample(self):
-        model = f64_model(seed=4)
-        pts = self.samples(4, 13)
-        got = stage1_forward(np.vstack(pts), model, [len(p) for p in pts])
-        for i, p in enumerate(pts):
-            for batched, single in zip(got, stage1_forward(p, model)):
-                np.testing.assert_allclose(batched.data[i : i + 1], single.data, rtol=0, atol=1e-12)
-
-    def test_stage2_matches_per_sample(self):
-        model = f64_model(seed=5)
-        pts = self.samples(3, 14)
-        got = stage2_forward(np.vstack(pts), model, [len(p) for p in pts]).data
-        want = np.vstack([stage2_forward(p, model).data for p in pts])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_batched_gradients_sum_per_sample_gradients(self):
-        model = f64_model(seed=6)
-        pts = self.samples(3, 15)
-        targets = np.random.default_rng(16).normal(size=(len(pts), 4))
-        params = model.stage2_parameters()
-
-        def grads(loss):
-            zero_grad(params)
-            backward(loss)
-            return [p.grad.copy() for p in params]
-
-        # huber averages over elements, so the batched loss over 3 rows is
-        # a third of the per-sample losses summed
-        batched = grads(
-            ag.scale(huber(stage2_forward(np.vstack(pts), model, [len(p) for p in pts]), targets), 3.0)
-        )
-        per_sample = [grads(huber(stage2_forward(p, model), t[None])) for p, t in zip(pts, targets)]
-        for i, g in enumerate(batched):
-            np.testing.assert_allclose(g, sum(s[i] for s in per_sample), rtol=1e-9, atol=1e-12)
-
-
 class TestSegmentForward:
     def test_output_shape(self):
         model = f64_model()

@@ -10,7 +10,6 @@ batch.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from lidartrack.geometry import (
     world_to_canonical,
     yaw_matrix,
 )
-from lidartrack.nn import Model, ModelConfig, Tensor, backward, segment_forward_batched, zero_grad
+from lidartrack.nn import Model, ModelConfig, Tensor
 from lidartrack.pipeline import (
     COORD_SCALE,
     DegenerateTargetError,
@@ -38,7 +37,6 @@ from lidartrack.pipeline import (
     TrainConfig,
     canonical_features,
     forward_pair,
-    forward_pairs,
     make_oracle_overrides,
     prepare_pair_example,
     prior_target_mask,
@@ -457,54 +455,6 @@ class TestTraining:
         np.testing.assert_allclose(box.center, box2[:3], rtol=0, atol=tol)
         assert abs(wrap_angle(box.yaw - box2[3])) <= tol
 
-
-    def test_batched_forward_matches_per_pair(self):
-        pairs = self.toy_pairs(n_frames=6)
-        cfg = self.toy_config()
-        model = Model(ModelConfig(dtype="float64", seed=6))
-        rng = np.random.default_rng(1)
-        examples = [prepare_pair_example(pair, cfg, rng) for pair in pairs]
-        # no labeled target and a previous box far from every point: no mask
-        far = Box3D(center=[1e3, 1e3, 0.0], size=[1.8, 4.0, 1.6], yaw=0.0)
-        examples[2] = replace(examples[2], b_prev=far, seg_labels=np.zeros_like(examples[2].seg_labels))
-        batched = forward_pairs(examples, model, cfg.margin)
-        assert batched[2] is None
-        for ex, got in zip(examples, batched):
-            want = forward_pair(ex, model, cfg.margin)
-            assert (got is None) == (want is None)
-            if want is None:
-                continue
-            for name in ("motion_logits", "rtm4", "refine4", "box1_4", "box2_4"):
-                np.testing.assert_allclose(getattr(got, name).data, getattr(want, name).data, rtol=0, atol=1e-9)
-            for name in ("rtm_target", "refine_target", "box1_target", "box2_target"):
-                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-9)
-            for name in ("refined_prev_box", "coarse_box"):
-                np.testing.assert_allclose(
-                    getattr(got, name).as_vector(), getattr(want, name).as_vector(), rtol=0, atol=1e-9
-                )
-
-    def test_batched_loss_and_gradients_match_per_pair(self):
-        pairs = self.toy_pairs(n_frames=6)
-        cfg = self.toy_config()
-        model = Model(ModelConfig(dtype="float64", seed=7))
-        rng = np.random.default_rng(2)
-        examples = [prepare_pair_example(pair, cfg, rng) for pair in pairs]
-        feats = np.vstack([ex.features for ex in examples])
-        labels = np.concatenate([ex.seg_labels for ex in examples])
-        params = model.parameters()
-
-        def loss_and_grads(fwds):
-            logits = segment_forward_batched(feats, model, batch=len(examples))
-            loss, _ = total_loss(logits, labels, fwds)
-            zero_grad(params)
-            backward(loss)
-            return loss.item(), [p.grad.copy() for p in params]
-
-        batched = loss_and_grads(forward_pairs(examples, model, cfg.margin))
-        per_pair = loss_and_grads([forward_pair(ex, model, cfg.margin) for ex in examples])
-        assert batched[0] == pytest.approx(per_pair[0], rel=1e-12)
-        for got, want in zip(batched[1], per_pair[1]):
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 class TestExportPredictions:
     def test_jsonl_round_trip(self, tmp_path):
