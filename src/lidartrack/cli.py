@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -23,19 +22,13 @@ from lidartrack.evaluation import (
     OpeReport,
     ZeroMotionTracker,
     distractor_protocol,
+    export_predictions,
     render_report,
     run_ope,
     score_predictions,
 )
 from lidartrack.nn import Model, load_checkpoint, save_checkpoint
-from lidartrack.pipeline import (
-    FrameDiagnostics,
-    NetworkTracker,
-    TrackResult,
-    export_predictions,
-    track_sequence,
-    train,
-)
+from lidartrack.pipeline import NetworkTracker, train
 
 __all__ = ["main"]
 
@@ -214,51 +207,10 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _baseline_result(tracker, tracklet) -> TrackResult:
-    start = time.perf_counter()
-    boxes = tracker.track(list(tracklet.frames), tracklet.gt_boxes[0])
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    per_step = elapsed_ms / max(len(boxes) - 1, 1)
-    diags = tuple(
-        FrameDiagnostics(
-            frame_index=i,
-            n_prev_target=0,
-            n_cur_target=0,
-            dynamic=False,
-            fallback_mask=False,
-            degenerate=False,
-            refined_prev_box=None,
-            coarse_box=None,
-            box=boxes[i],
-            wall_ms=per_step,
-        )
-        for i in range(1, len(boxes))
-    )
-    return TrackResult(boxes=tuple(boxes), diagnostics=diags)
-
-
 def cmd_track(args, cfg: ExperimentConfig) -> int:
     tracklets = _load_tracklets(args.dataset)
-    results = []
-    if args.baseline:
-        tracker = BASELINES[args.baseline]()
-        for t in tracklets:
-            results.append((t.id, _baseline_result(tracker, t)))
-    else:
-        model, _ = load_checkpoint(args.checkpoint)
-        for t in tracklets:
-            results.append(
-                (
-                    t.id,
-                    track_sequence(
-                        t,
-                        model,
-                        seed=cfg.seed,
-                        margin=cfg.margin,
-                        n_points=cfg.n_points,
-                    ),
-                )
-            )
+    tracker = _make_tracker(args, cfg)
+    results = [(t.id, tracker.track(list(t.frames), t.gt_boxes[0])) for t in tracklets]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

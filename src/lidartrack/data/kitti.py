@@ -86,13 +86,17 @@ def camera_label_from_box(box: Box3D, tr_velo_to_cam: np.ndarray):
     return loc, (h, box.width, box.length), ry
 
 
-def _read_velodyne(path: Path) -> np.ndarray:
+def _read_velodyne(path: Path, frame: int) -> Frame:
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing point file for a labeled frame")
     raw = path.read_bytes()
     if len(raw) % 16 != 0:
         raise ValueError(f"{path}: corrupt point file, {len(raw)} bytes is not a whole number of xyzr float32 rows")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, 4)[:, :3]
+    points = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, 4)[:, :3]
+    try:
+        return Frame(points=points, timestamp=frame)
+    except ValueError as exc:  # non-finite points: name the file as well as the row
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_kitti_tracklets(seq_dir, sequence: str | None = None) -> list[Tracklet]:
@@ -119,11 +123,11 @@ def load_kitti_tracklets(seq_dir, sequence: str | None = None) -> list[Tracklet]
         ry = float(fields[16])
         per_track.setdefault(tid, []).append((frame, lidar_box_from_camera(loc, hwl, ry, tr), kind))
 
-    frame_cache: dict[int, np.ndarray] = {}
+    frame_cache: dict[int, Frame] = {}
 
-    def frame_points(frame: int) -> np.ndarray:
+    def read_frame(frame: int) -> Frame:
         if frame not in frame_cache:
-            frame_cache[frame] = _read_velodyne(seq_dir / "velodyne" / f"{frame:06d}.bin")
+            frame_cache[frame] = _read_velodyne(seq_dir / "velodyne" / f"{frame:06d}.bin", frame)
         return frame_cache[frame]
 
     tracklets: list[Tracklet] = []
@@ -137,9 +141,7 @@ def load_kitti_tracklets(seq_dir, sequence: str | None = None) -> list[Tracklet]
             else:
                 runs.append([row])
         for run_idx, run in enumerate(runs):
-            frames = tuple(
-                Frame(points=frame_points(frame), timestamp=frame) for frame, _, _ in run
-            )
+            frames = tuple(read_frame(frame) for frame, _, _ in run)
             boxes = tuple(box for _, box, _ in run)
             suffix = f"-s{run_idx}" if len(runs) > 1 else ""
             tracklets.append(

@@ -83,11 +83,15 @@ def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str,
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_points(path: Path) -> np.ndarray:
+def _read_frame(path: Path, timestamp: int) -> Frame:
     raw = path.read_bytes()
     if len(raw) % 12 != 0:
         raise ValueError(f"{path}: corrupt point file, {len(raw)} bytes is not a whole number of xyz float32 triples")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, 3)
+    points = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, 3)
+    try:
+        return Frame(points=points, timestamp=timestamp)
+    except ValueError as exc:  # non-finite points: name the file as well as the row
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_tracklet(tdir: Path) -> Tracklet:
@@ -103,7 +107,7 @@ def _read_tracklet(tdir: Path) -> Tracklet:
         pts_path = tdir / f"points_{i:03d}.bin"
         if not pts_path.is_file():
             raise FileNotFoundError(f"{pts_path}: missing point file")
-        frames.append(Frame(points=_read_points(pts_path), timestamp=int(ts)))
+        frames.append(_read_frame(pts_path, int(ts)))
     boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
     oracle = None
     if "oracle" in meta:

@@ -1,9 +1,12 @@
-"""One-pass evaluation: AUC metrics, classical baselines, OPE protocol.
+"""One-pass evaluation: the tracker protocol, AUC metrics, classical
+baselines, OPE, and the prediction file.
 
-A tracker is anything with ``track(frames, initial_box) -> list[Box3D]``.
-The protocol hands the tracker the raw frames and the ground-truth box of
-frame 0, nothing else; scoring happens afterwards against the full ground
-truth. Per-frame overlap is rotated 3D IoU and per-frame error is center
+A tracker is anything with ``track(frames, initial_box) -> TrackResult``:
+one box per frame, the given box first, and one ``FrameDiagnostics`` per
+tracked frame whose wall time the tracker measured itself.  The protocol
+hands the tracker the raw frames and the ground-truth box of frame 0,
+nothing else; scoring happens afterwards against the full ground truth.
+Per-frame overlap is rotated 3D IoU and per-frame error is center
 distance. Both curve metrics have closed forms, so no threshold grid is
 involved:
 
@@ -13,10 +16,15 @@ involved:
   ``max_error`` meters, which equals the mean of
   ``(max_error - min(error, max_error)) / max_error``, as a percentage.
 
-A tracker that raises, or returns the wrong number of boxes, is flagged:
-its first frame keeps the by-construction perfect score and every later
-frame counts as overlap 0 / infinite error, and the run continues with the
-remaining tracklets.
+A tracker that raises, or returns the wrong number of boxes or
+diagnostics, is flagged with the cause: its first frame keeps the
+by-construction perfect score, every later frame counts as overlap 0 /
+infinite error, and the run continues with the remaining tracklets.  The
+mean wall time per frame is taken from the diagnostics of the tracklets
+that did not fail.
+
+``export_predictions`` writes a run as JSON lines and ``score_predictions``
+reads them back, so the same boxes score the same either way.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -35,12 +43,15 @@ from lidartrack.pointcloud import Frame
 
 __all__ = [
     "CategoryMetrics",
+    "FrameDiagnostics",
     "KalmanConfig",
     "KalmanCVTracker",
     "OpeReport",
+    "TrackResult",
     "Tracker",
     "ZeroMotionTracker",
     "distractor_protocol",
+    "export_predictions",
     "precision_auc",
     "render_report",
     "run_ope",
@@ -52,8 +63,59 @@ __all__ = [
 DEFAULT_MAX_ERROR = 2.0
 
 
+@dataclass(frozen=True)
+class FrameDiagnostics:
+    """A tracker's account of one tracked frame.
+
+    ``wall_ms`` is the frame's wall time as the tracker measured it.  The
+    other fields describe the network's stages; trackers without them keep
+    the defaults.
+    """
+
+    wall_ms: float
+    n_prev_target: int = 0
+    n_cur_target: int = 0
+    dynamic: bool = False
+    fallback_mask: bool = False
+    degenerate: bool = False
+    refined_prev_box: Optional[Box3D] = None
+    coarse_box: Optional[Box3D] = None
+
+    @classmethod
+    def since(cls, start: float, **fields) -> "FrameDiagnostics":
+        """Diagnostics of a frame whose work began at ``perf_counter() == start``."""
+        return cls(wall_ms=(time.perf_counter() - start) * 1e3, **fields)
+
+
+@dataclass(frozen=True)
+class TrackResult:
+    """One tracked sequence: a box per frame, the given box first, and the
+    diagnostics of every tracked frame (frame 1 onward).
+
+    It also reads as the sequence of its boxes.
+    """
+
+    boxes: tuple[Box3D, ...]
+    diagnostics: tuple[FrameDiagnostics, ...]
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self) -> Iterator[Box3D]:
+        return iter(self.boxes)
+
+    def __getitem__(self, index):
+        return self.boxes[index]
+
+
 class Tracker(Protocol):
-    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> list[Box3D]: ...
+    """Tracks one sequence from its frame-0 box.
+
+    ``track`` returns ``len(frames)`` boxes and ``len(frames) - 1``
+    diagnostics, each frame timed by the tracker itself.
+    """
+
+    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> TrackResult: ...
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +182,8 @@ class OpeReport:
     ``traces`` keeps the raw per-frame (overlaps, errors) per tracklet so
     downstream analysis never needs to re-run the tracker.  ``mean_wall_ms``
     is wall time per tracked frame: the given frame 0 is not counted.
+    ``failures`` maps each failed tracklet id to its cause,
+    ``"<ExceptionType>: <message>"``.
     """
 
     tracker: str
@@ -130,7 +194,7 @@ class OpeReport:
     n_tracklets: int
     mean_wall_ms: float
     traces: dict[str, tuple[tuple[float, ...], tuple[float, ...]]]
-    failures: tuple[str, ...] = field(default_factory=tuple)
+    failures: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-safe view; non-finite errors become null."""
@@ -152,7 +216,7 @@ class OpeReport:
                 }
                 for name, m in self.categories.items()
             },
-            "failures": list(self.failures),
+            "failures": dict(self.failures),
             "traces": {
                 tid: {
                     "overlaps": list(ov),
@@ -182,8 +246,8 @@ def _build_report(
     tracker_name: str,
     tracklets: Sequence[Tracklet],
     traces: dict[str, tuple[tuple[float, ...], tuple[float, ...]]],
-    failures: Sequence[str],
-    total_wall_ms: float,
+    failures: dict[str, str],
+    wall_ms: Sequence[float],
 ) -> OpeReport:
     per_cat_overlaps: dict[str, list[float]] = defaultdict(list)
     per_cat_errors: dict[str, list[float]] = defaultdict(list)
@@ -206,8 +270,6 @@ def _build_report(
         {n: (m.success, m.precision, m.n_frames) for n, m in categories.items()}
     )
     n_frames = sum(m.n_frames for m in categories.values())
-    # frame 0 of every tracklet is given, not tracked
-    n_tracked = n_frames - len(tracklets)
     return OpeReport(
         tracker=tracker_name,
         categories=categories,
@@ -215,9 +277,9 @@ def _build_report(
         precision=precision,
         n_frames=n_frames,
         n_tracklets=len(tracklets),
-        mean_wall_ms=total_wall_ms / n_tracked if n_tracked else 0.0,
+        mean_wall_ms=sum(wall_ms) / len(wall_ms) if wall_ms else 0.0,
         traces=traces,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 
@@ -232,21 +294,24 @@ def run_ope(tracker: Tracker, tracklets: Iterable[Tracklet]) -> OpeReport:
         raise ValueError("need at least one tracklet")
     name = getattr(tracker, "name", type(tracker).__name__)
     traces: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-    failures: list[str] = []
-    total_wall_ms = 0.0
+    failures: dict[str, str] = {}
+    wall_ms: list[float] = []
     for t in tracklets:
-        start = time.perf_counter()
+        n = len(t.frames)
         try:
-            boxes = tracker.track(list(t.frames), t.gt_boxes[0])
-        except Exception:
-            boxes = None
-        total_wall_ms += (time.perf_counter() - start) * 1e3
-        if boxes is None or len(boxes) != len(t.frames):
-            failures.append(t.id)
-            traces[t.id] = _failure_trace(len(t.frames))
+            result = tracker.track(list(t.frames), t.gt_boxes[0])
+            if len(result.boxes) != n or len(result.diagnostics) != n - 1:
+                raise ValueError(
+                    f"{len(result.boxes)} boxes and {len(result.diagnostics)} diagnostics "
+                    f"for {n} frames; want {n} and {n - 1}"
+                )
+        except Exception as exc:  # a failed tracklet is scored, not fatal
+            failures[t.id] = f"{type(exc).__name__}: {exc}"
+            traces[t.id] = _failure_trace(n)
         else:
-            traces[t.id] = _score_boxes(boxes, t.gt_boxes)
-    return _build_report(name, tracklets, traces, failures, total_wall_ms)
+            traces[t.id] = _score_boxes(result.boxes, t.gt_boxes)
+            wall_ms.extend(d.wall_ms for d in result.diagnostics)
+    return _build_report(name, tracklets, traces, failures, wall_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +323,13 @@ class ZeroMotionTracker:
 
     name = "zero-motion"
 
-    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> list[Box3D]:
-        return [initial_box for _ in frames]
+    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> TrackResult:
+        boxes, diags = [initial_box], []
+        for _ in range(1, len(frames)):
+            start = time.perf_counter()
+            boxes.append(initial_box)
+            diags.append(FrameDiagnostics.since(start))
+        return TrackResult(boxes=tuple(boxes), diagnostics=tuple(diags))
 
 
 @dataclass(frozen=True)
@@ -300,7 +370,7 @@ class KalmanCVTracker:
         self.config = config
         self.covariance: np.ndarray | None = None
 
-    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> list[Box3D]:
+    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> TrackResult:
         cfg = self.config
         eye3 = np.eye(3)
         x = np.zeros(6)
@@ -314,8 +384,9 @@ class KalmanCVTracker:
         R = cfg.measurement_var * eye3
         size, yaw = initial_box.size, initial_box.yaw
 
-        boxes = [initial_box]
+        boxes, diags = [initial_box], []
         for t in range(1, len(frames)):
+            start = time.perf_counter()
             x = F @ x
             P = F @ P @ F.T + Q
             gate = Box3D(
@@ -334,8 +405,9 @@ class KalmanCVTracker:
                 ikh = np.eye(6) - K @ H
                 P = ikh @ P @ ikh.T + K @ R @ K.T
             boxes.append(Box3D(center=x[:3], size=size, yaw=yaw))
+            diags.append(FrameDiagnostics.since(start))
         self.covariance = P
-        return boxes
+        return TrackResult(boxes=tuple(boxes), diagnostics=tuple(diags))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +444,9 @@ def distractor_protocol(
 def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     """Score an exported prediction file against ground-truth tracklets.
 
-    The file is JSON lines as written by the pipeline's prediction export;
-    every listed tracklet id must exist in ``tracklets`` and cover exactly
-    its frame count. Wall times are taken from the file.
+    The file is JSON lines as written by :func:`export_predictions`; every
+    listed tracklet id must exist in ``tracklets`` and cover exactly its
+    frame count. Wall times of the tracked frames are taken from the file.
     """
     tracklets = list(tracklets)
     by_id = {t.id: t for t in tracklets}
@@ -395,7 +467,7 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
         raise ValueError(f"no predictions for tracklet ids: {missing}")
 
     traces = {}
-    total_wall_ms = 0.0
+    wall_ms: list[float] = []
     for tid, rows in rows_by_id.items():
         t = by_id[tid]
         rows = sorted(rows, key=lambda r: int(r["frame_index"]))
@@ -407,8 +479,30 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
             )
         boxes = [Box3D.from_vector(np.asarray(r["box"], dtype=np.float64)) for r in rows]
         traces[tid] = _score_boxes(boxes, t.gt_boxes)
-        total_wall_ms += sum(float(r.get("wall_ms", 0.0)) for r in rows)
-    return _build_report("predictions", tracklets, traces, [], total_wall_ms)
+        wall_ms.extend(float(r.get("wall_ms", 0.0)) for r in rows[1:])
+    return _build_report("predictions", tracklets, traces, {}, wall_ms)
+
+
+def export_predictions(results: Iterable[tuple[str, TrackResult]], path) -> None:
+    """Write per-frame predictions as JSON lines, the input of :func:`score_predictions`.
+
+    Frame 0 echoes the initial box with ``dynamic`` false and zero wall
+    time; later frames carry the tracker's diagnostics.
+    """
+    with open(str(path), "w", encoding="utf-8") as fh:
+        for tracklet_id, result in results:
+            per_frame = [(result.boxes[0], False, 0.0)] + [
+                (box, d.dynamic, d.wall_ms) for box, d in zip(result.boxes[1:], result.diagnostics)
+            ]
+            for t, (box, dynamic, wall_ms) in enumerate(per_frame):
+                row = {
+                    "tracklet_id": tracklet_id,
+                    "frame_index": t,
+                    "box": [float(v) for v in box.as_vector()],
+                    "dynamic": bool(dynamic),
+                    "wall_ms": float(wall_ms),
+                }
+                fh.write(json.dumps(row) + "\n")
 
 
 def render_report(report: OpeReport) -> str:
@@ -426,6 +520,6 @@ def render_report(report: OpeReport) -> str:
         f"{report.n_frames:>9d}{report.n_tracklets:>11d}"
     )
     lines.append(f"mean wall per frame: {report.mean_wall_ms:.3f} ms")
-    failures = ", ".join(report.failures) if report.failures else "none"
-    lines.append(f"failed tracklets: {failures}")
+    lines.append(f"failed tracklets: {len(report.failures) or 'none'}")
+    lines.extend(f"  {tid}: {cause}" for tid, cause in report.failures.items())
     return "\n".join(lines) + "\n"

@@ -80,7 +80,6 @@ class Mlp:
     """A stack of affine layers with ReLU between them (none after the last)."""
 
     def __init__(self, widths: list[int], rng: np.random.Generator, dtype: np.dtype):
-        self.widths = list(widths)
         self.layers: list[tuple[Tensor, Tensor]] = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             bound = np.sqrt(6.0 / fan_in)

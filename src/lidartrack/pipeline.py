@@ -25,15 +25,15 @@ the predicted mask and the predicted branch instead.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from lidartrack.augment import AugmentConfig, motion_augment, perturb_prev_box
 from lidartrack.data.tracklets import Tracklet, TrainingPair, is_dynamic
+from lidartrack.evaluation import FrameDiagnostics, TrackResult
 from lidartrack.geometry import (
     Box3D,
     RTM,
@@ -76,8 +76,6 @@ from lidartrack.pointcloud import (
 __all__ = [
     "DegenerateTargetError",
     "Stage1Output",
-    "FrameDiagnostics",
-    "TrackResult",
     "TrackOverrides",
     "TrainConfig",
     "PairExample",
@@ -89,7 +87,6 @@ __all__ = [
     "stage1_predict",
     "stage2_refine",
     "track_frame",
-    "track_frames",
     "track_sequence",
     "make_oracle_overrides",
     "prepare_pair_example",
@@ -97,7 +94,6 @@ __all__ = [
     "total_loss",
     "scheduled_lr",
     "train",
-    "export_predictions",
 ]
 
 DEFAULT_MARGIN = 2.0
@@ -307,43 +303,6 @@ class TrackOverrides:
     stage2_fn: Optional[Callable[[int, np.ndarray, np.ndarray, Stage1Output], Box3D]] = None
 
 
-@dataclass(frozen=True)
-class FrameDiagnostics:
-    frame_index: int
-    n_prev_target: int
-    n_cur_target: int
-    dynamic: bool
-    fallback_mask: bool
-    degenerate: bool
-    refined_prev_box: Optional[Box3D]
-    coarse_box: Optional[Box3D]
-    box: Box3D
-    wall_ms: float
-
-
-@dataclass(frozen=True)
-class TrackResult:
-    """Per-sequence output: one box per frame, diagnostics per tracked step."""
-
-    boxes: tuple[Box3D, ...]
-    diagnostics: tuple[FrameDiagnostics, ...]
-
-
-def _degenerate_diag(frame_index: int, box: Box3D, t0: float) -> FrameDiagnostics:
-    return FrameDiagnostics(
-        frame_index=frame_index,
-        n_prev_target=0,
-        n_cur_target=0,
-        dynamic=False,
-        fallback_mask=False,
-        degenerate=True,
-        refined_prev_box=None,
-        coarse_box=None,
-        box=box,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
-
-
 def track_frame(
     prev: Frame,
     cur: Frame,
@@ -372,7 +331,7 @@ def track_frame(
     try:
         cur_crop = crop_and_sample(cur, b_prev, margin=margin, n=n_points, rng_seed=seed_cur)
     except EmptyRegionError:
-        return b_prev, _degenerate_diag(frame_index, b_prev, t0)
+        return b_prev, FrameDiagnostics.since(t0, degenerate=True)
 
     st = with_channels(build_st_cloud(prev_crop, cur_crop), b_prev)
     if overrides is not None and overrides.segment_fn is not None:
@@ -388,7 +347,7 @@ def track_frame(
     try:
         mask, fallback = _with_prior_fallback(mask, st, b_prev, margin)
     except DegenerateTargetError:
-        return b_prev, _degenerate_diag(frame_index, b_prev, t0)
+        return b_prev, FrameDiagnostics.since(t0, degenerate=True)
 
     targets = st.points[mask]
     if overrides is not None and overrides.stage1_fn is not None:
@@ -402,50 +361,61 @@ def track_frame(
     else:
         box = stage2_refine(prev_xyz, cur_xyz, s1, model)
 
-    diag = FrameDiagnostics(
-        frame_index=frame_index,
+    diag = FrameDiagnostics.since(
+        t0,
         n_prev_target=prev_xyz.shape[0],
         n_cur_target=cur_xyz.shape[0],
         dynamic=s1.dynamic,
         fallback_mask=fallback,
-        degenerate=False,
         refined_prev_box=s1.refined_prev_box,
         coarse_box=s1.coarse_box,
-        box=box,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     return box, diag
 
 
-def track_frames(
-    frames: Sequence[Frame],
-    initial_box: Box3D,
-    model: Model,
-    seed: int = 0,
-    overrides: Optional[TrackOverrides] = None,
-    margin: float = DEFAULT_MARGIN,
-    n_points: int = DEFAULT_POINTS,
-) -> TrackResult:
-    """Track through a frame sequence from a given first-frame box."""
-    if len(frames) == 0:
-        raise ValueError("cannot track an empty sequence")
-    boxes = [initial_box]
-    diags = []
-    for t in range(1, len(frames)):
-        box, diag = track_frame(
-            frames[t - 1],
-            frames[t],
-            boxes[-1],
-            model,
-            seed=seed,
-            frame_index=t,
-            overrides=overrides,
-            margin=margin,
-            n_points=n_points,
-        )
-        boxes.append(box)
-        diags.append(diag)
-    return TrackResult(boxes=tuple(boxes), diagnostics=tuple(diags))
+class NetworkTracker:
+    """The two-stage network as a tracker (``lidartrack.evaluation.Tracker``).
+
+    Each frame is tracked from the previous output box by
+    :func:`track_frame`, with ``overrides`` replacing stages if given.
+    """
+
+    name = "network"
+
+    def __init__(
+        self,
+        model: Model,
+        seed: int = 0,
+        margin: float = DEFAULT_MARGIN,
+        n_points: int = DEFAULT_POINTS,
+        overrides: Optional[TrackOverrides] = None,
+    ):
+        self.model = model
+        self.seed = seed
+        self.margin = margin
+        self.n_points = n_points
+        self.overrides = overrides
+
+    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> TrackResult:
+        if len(frames) == 0:
+            raise ValueError("cannot track an empty sequence")
+        boxes = [initial_box]
+        diags = []
+        for t in range(1, len(frames)):
+            box, diag = track_frame(
+                frames[t - 1],
+                frames[t],
+                boxes[-1],
+                self.model,
+                seed=self.seed,
+                frame_index=t,
+                overrides=self.overrides,
+                margin=self.margin,
+                n_points=self.n_points,
+            )
+            boxes.append(box)
+            diags.append(diag)
+        return TrackResult(boxes=tuple(boxes), diagnostics=tuple(diags))
 
 
 def track_sequence(
@@ -457,34 +427,8 @@ def track_sequence(
     n_points: int = DEFAULT_POINTS,
 ) -> TrackResult:
     """Track a tracklet from its first ground-truth box."""
-    return track_frames(
-        tracklet.frames, tracklet.gt_boxes[0], model,
-        seed=seed, overrides=overrides, margin=margin, n_points=n_points,
-    )
-
-
-class NetworkTracker:
-    """Tracker protocol adapter: ``track(frames, initial_box) -> boxes``."""
-
-    name = "network"
-
-    def __init__(
-        self,
-        model: Model,
-        seed: int = 0,
-        margin: float = DEFAULT_MARGIN,
-        n_points: int = DEFAULT_POINTS,
-    ):
-        self.model = model
-        self.seed = seed
-        self.margin = margin
-        self.n_points = n_points
-
-    def track(self, frames: Sequence[Frame], initial_box: Box3D) -> list[Box3D]:
-        result = track_frames(
-            frames, initial_box, self.model, seed=self.seed, margin=self.margin, n_points=self.n_points
-        )
-        return list(result.boxes)
+    tracker = NetworkTracker(model, seed=seed, margin=margin, n_points=n_points, overrides=overrides)
+    return tracker.track(tracklet.frames, tracklet.gt_boxes[0])
 
 
 def make_oracle_overrides(tracklet: Tracklet) -> TrackOverrides:
@@ -558,7 +502,6 @@ class PairExample:
     b_prev: Box3D
     features: np.ndarray
     seg_labels: np.ndarray
-    gt_prev: Box3D
     gt_cur: Box3D
     rtm_target: RTM
     refine_target: RTM
@@ -626,7 +569,6 @@ def prepare_pair_example(
         b_prev=b_prev,
         features=canonical_features(st, b_prev),
         seg_labels=seg_labels,
-        gt_prev=gt_prev,
         gt_cur=gt_cur,
         rtm_target=rtm_target,
         refine_target=infer_rtm(b_prev, gt_prev),
@@ -819,34 +761,3 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
             row[key] = sums.get(key, 0.0) / denom
         metrics.append(row)
     return metrics
-
-
-def export_predictions(results: Iterable[tuple[str, TrackResult]], path) -> None:
-    """Write per-frame predictions as JSON lines.
-
-    Frame 0 echoes the initial box with ``dynamic`` false and zero wall
-    time; later frames carry the tracker's diagnostics.
-    """
-    with open(str(path), "w", encoding="utf-8") as fh:
-        for tracklet_id, result in results:
-            rows = [
-                {
-                    "tracklet_id": tracklet_id,
-                    "frame_index": 0,
-                    "box": [float(v) for v in result.boxes[0].as_vector()],
-                    "dynamic": False,
-                    "wall_ms": 0.0,
-                }
-            ]
-            for t, diag in enumerate(result.diagnostics, start=1):
-                rows.append(
-                    {
-                        "tracklet_id": tracklet_id,
-                        "frame_index": t,
-                        "box": [float(v) for v in result.boxes[t].as_vector()],
-                        "dynamic": bool(diag.dynamic),
-                        "wall_ms": float(diag.wall_ms),
-                    }
-                )
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")

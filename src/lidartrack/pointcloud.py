@@ -58,7 +58,8 @@ class Frame:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(pts)):
-            raise ValueError("frame points must be finite")
+            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise ValueError(f"frame points must be finite; row {row} is {pts[row]}")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

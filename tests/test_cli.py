@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidartrack.cli import main
+from lidartrack.cli import BASELINES, main
 from lidartrack.config import ConfigError, ExperimentConfig, PRESETS
 from lidartrack.data import read_native
+from lidartrack.evaluation import run_ope, score_predictions
 from lidartrack.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
+from lidartrack.pipeline import NetworkTracker
 
 
 def write_config(path: Path, **keys) -> str:
@@ -256,6 +258,28 @@ class TestTrack:
         assert rc == 0
         rows = (out / "predictions.jsonl").read_text().splitlines()
         assert len(rows) == 3 * 4
+
+    @pytest.mark.parametrize("source", ["zero-motion", "kalman-cv", "checkpoint"])
+    def test_exported_predictions_score_as_run_ope(self, tmp_path, tiny_dataset, trained, source):
+        cfg_path = write_config(tmp_path / "c.json", n_points=48)
+        if source == "checkpoint":
+            ckpt = trained / "checkpoint.lidartrack"
+            flags = ["--checkpoint", str(ckpt)]
+            cfg = ExperimentConfig.from_sources(config_file=cfg_path)
+            tracker = NetworkTracker(
+                load_checkpoint(ckpt)[0], seed=cfg.seed, margin=cfg.margin, n_points=cfg.n_points
+            )
+        else:
+            flags = ["--baseline", source]
+            tracker = BASELINES[source]()
+        out = tmp_path / "trk"
+        rc = main(["track", "--dataset", str(tiny_dataset), "--out", str(out), "--config", cfg_path, *flags])
+        assert rc == 0
+        tracklets = read_native(tiny_dataset)
+        scored = score_predictions(out / "predictions.jsonl", tracklets)
+        direct = run_ope(tracker, tracklets)
+        assert (scored.success, scored.precision) == (direct.success, direct.precision)
+        assert scored.traces == direct.traces
 
     def test_source_is_mutually_exclusive_and_required(self, tmp_path, tiny_dataset):
         args = ["track", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "o")]

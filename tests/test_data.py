@@ -8,6 +8,7 @@ z-forward), and a random round-trip through an arbitrary rigid calibration.
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -234,6 +235,16 @@ class TestNativeFormat:
         with pytest.raises(ValueError, match="corrupt"):
             read_native(tmp_path)
 
+    def test_non_finite_point_names_file_and_row(self, tmp_path):
+        write_native(self.make_dataset(), tmp_path)
+        victim = sorted(tmp_path.rglob("points_*.bin"))[1]
+        pts = np.frombuffer(victim.read_bytes(), dtype="<f4").reshape(-1, 3).copy()
+        pts[7, 1] = np.nan
+        pts[9, 0] = np.inf
+        victim.write_bytes(pts.tobytes())
+        with pytest.raises(ValueError, match=rf"{re.escape(str(victim))}: .*row 7\b"):
+            read_native(tmp_path)
+
     def test_empty_directory_is_empty_dataset(self, tmp_path):
         assert read_native(tmp_path) == []
 
@@ -379,4 +390,13 @@ class TestKittiIngestion:
         seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3))})
         (seq_dir / "velodyne" / "000000.bin").write_bytes(b"\x00" * 10)
         with pytest.raises(ValueError, match="corrupt"):
+            load_kitti_tracklets(seq_dir)
+
+    def test_non_finite_point_names_file_and_row(self, tmp_path):
+        pts = np.zeros((5, 3))
+        pts[3, 2] = -np.inf
+        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
+        seq_dir = write_kitti_sequence(tmp_path, labels, {0: pts})
+        path = seq_dir / "velodyne" / "000000.bin"
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*row 3\b"):
             load_kitti_tracklets(seq_dir)

@@ -13,11 +13,14 @@ import pytest
 from lidartrack.data import SceneSpec, generate_synthetic_tracklet, make_synthetic_dataset
 from lidartrack.geometry import Box3D, box_key_points, center_distance, iou3d
 from lidartrack.evaluation import (
+    FrameDiagnostics,
     KalmanConfig,
     KalmanCVTracker,
     OpeReport,
+    TrackResult,
     ZeroMotionTracker,
     distractor_protocol,
+    export_predictions,
     precision_auc,
     render_report,
     run_ope,
@@ -25,6 +28,8 @@ from lidartrack.evaluation import (
     success_auc,
     weighted_overall,
 )
+from lidartrack.nn import Model, ModelConfig
+from lidartrack.pipeline import NetworkTracker, make_oracle_overrides, track_sequence
 from lidartrack.pointcloud import Frame
 
 
@@ -164,6 +169,12 @@ class TestKalmanCV:
             np.testing.assert_array_equal(x.as_vector(), y.as_vector())
 
 
+def untimed(boxes) -> TrackResult:
+    """A test tracker's result: the boxes, with zero wall time per tracked frame."""
+    boxes = tuple(boxes)
+    return TrackResult(boxes=boxes, diagnostics=tuple(FrameDiagnostics(wall_ms=0.0) for _ in boxes[1:]))
+
+
 class GtEchoTracker:
     """Test-only tracker that replays boxes captured per frame count."""
 
@@ -177,7 +188,7 @@ class GtEchoTracker:
         return tuple(f.timestamp for f in frames) + (len(frames[0]),)
 
     def track(self, frames, initial_box):
-        return self._by_key[self.key(frames)]
+        return untimed(self._by_key[self.key(frames)])
 
 
 class FailOnPedestrians:
@@ -186,7 +197,7 @@ class FailOnPedestrians:
     def track(self, frames, initial_box):
         if len(frames[0]) < 200:  # pedestrian clouds are much sparser
             raise RuntimeError("lost track")
-        return [initial_box for _ in frames]
+        return untimed(initial_box for _ in frames)
 
 
 def small_mixed_dataset():
@@ -217,7 +228,7 @@ class TestRunOpe:
         class Spy:
             def track(self, frames, initial_box):
                 seen.append((frames, initial_box))
-                return [initial_box for _ in frames]
+                return untimed(initial_box for _ in frames)
 
         t = generate_synthetic_tracklet(SceneSpec(motion="static", n_frames=3, seed=12))
         run_ope(Spy(), [t])
@@ -229,7 +240,7 @@ class TestRunOpe:
         tracklets = small_mixed_dataset()
         report = run_ope(FailOnPedestrians(), tracklets)
         ped = [t for t in tracklets if t.category == "pedestrian"][0]
-        assert ped.id in report.failures
+        assert report.failures == {ped.id: "RuntimeError: lost track"}
         overlaps, errors = report.traces[ped.id]
         assert overlaps[0] == 1.0 and all(o == 0.0 for o in overlaps[1:])
         assert all(np.isinf(e) for e in errors[1:])
@@ -256,11 +267,13 @@ class TestRunOpe:
     def test_wrong_length_output_counts_as_failure(self):
         class Short:
             def track(self, frames, initial_box):
-                return [initial_box]
+                return untimed([initial_box])
 
         t = generate_synthetic_tracklet(SceneSpec(motion="static", n_frames=4, seed=13))
         report = run_ope(Short(), [t])
-        assert t.id in report.failures
+        assert report.failures == {
+            t.id: "ValueError: 1 boxes and 0 diagnostics for 4 frames; want 4 and 3"
+        }
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -291,9 +304,6 @@ class TestDistractorProtocol:
 
 class TestScorePredictions:
     def test_round_trip_from_export(self, tmp_path):
-        from lidartrack.pipeline import export_predictions, make_oracle_overrides, track_sequence
-        from lidartrack.nn import Model, ModelConfig
-
         t = generate_synthetic_tracklet(
             SceneSpec(motion="constant_velocity", speed_range=(0.5, 1.5), n_frames=5, seed=20)
         )
@@ -314,9 +324,6 @@ class TestScorePredictions:
             score_predictions(path, [t])
 
     def test_frame_count_mismatch_rejected(self, tmp_path):
-        from lidartrack.pipeline import export_predictions, make_oracle_overrides, track_sequence
-        from lidartrack.nn import Model, ModelConfig
-
         t = generate_synthetic_tracklet(SceneSpec(n_frames=3, seed=22))
         res = track_sequence(t, model=Model(ModelConfig()), overrides=make_oracle_overrides(t))
         path = tmp_path / "preds.jsonl"
@@ -354,6 +361,16 @@ class TestReportRendering:
         assert "overall" in text
         assert "Success" in text and "Precision" in text
 
+    def test_failure_causes_shown(self):
+        import json
+
+        tracklets = small_mixed_dataset()
+        report = run_ope(FailOnPedestrians(), tracklets)
+        ped = [t for t in tracklets if t.category == "pedestrian"][0]
+        assert f"{ped.id}: RuntimeError: lost track" in render_report(report)
+        back = json.loads(json.dumps(report.to_dict()))
+        assert back["failures"] == {ped.id: "RuntimeError: lost track"}
+
     def test_dict_round_trips_through_json(self):
         import json
 
@@ -363,3 +380,47 @@ class TestReportRendering:
         assert abs(back["overall"]["success"] - report.success) < 1e-12
         assert back["tracker"] == "zero-motion"
         assert set(back["categories"]) == {"car", "pedestrian"}
+
+
+def protocol_trackers():
+    return [
+        ZeroMotionTracker(),
+        KalmanCVTracker(),
+        NetworkTracker(Model(ModelConfig(point_widths=(16, 32), head_hidden=16)), n_points=64),
+    ]
+
+
+class RecordingTracker:
+    """Passes ``track`` through to a tracker and keeps every result."""
+
+    def __init__(self, tracker):
+        self.tracker = tracker
+        self.results = []
+
+    def track(self, frames, initial_box):
+        self.results.append(self.tracker.track(frames, initial_box))
+        return self.results[-1]
+
+
+class TestTrackerProtocol:
+    @pytest.mark.parametrize("tracker", protocol_trackers(), ids=lambda t: t.name)
+    def test_result_has_a_box_per_frame_and_diagnostics_per_tracked_frame(self, tracker):
+        t = generate_synthetic_tracklet(
+            SceneSpec(motion="constant_velocity", speed_range=(0.5, 1.5), n_frames=5, seed=30)
+        )
+        result = tracker.track(list(t.frames), t.gt_boxes[0])
+        assert isinstance(result, TrackResult)
+        assert len(result.boxes) == 5 and len(result.diagnostics) == 4
+        assert all(isinstance(d, FrameDiagnostics) and d.wall_ms >= 0.0 for d in result.diagnostics)
+        np.testing.assert_array_equal(result.boxes[0].as_vector(), t.gt_boxes[0].as_vector())
+        # the result reads as its boxes
+        assert len(result) == 5 and list(result) == list(result.boxes) and result[-1] is result.boxes[-1]
+
+    @pytest.mark.parametrize("tracker", protocol_trackers(), ids=lambda t: t.name)
+    def test_mean_wall_is_mean_of_the_trackers_own_diagnostics(self, tracker):
+        tracklets = make_synthetic_dataset(3, SceneSpec(n_frames=4, seed=31), master_seed=31)
+        recorder = RecordingTracker(tracker)
+        report = run_ope(recorder, tracklets)
+        walls = [d.wall_ms for r in recorder.results for d in r.diagnostics]
+        assert len(walls) == 9
+        assert report.mean_wall_ms == sum(walls) / len(walls)

@@ -27,10 +27,12 @@ from lidartrack.geometry import (
     world_to_canonical,
     yaw_matrix,
 )
+from lidartrack.evaluation import export_predictions
 from lidartrack.nn import Model, ModelConfig, Tensor
 from lidartrack.pipeline import (
     COORD_SCALE,
     DegenerateTargetError,
+    NetworkTracker,
     PairForward,
     Stage1Output,
     TrackOverrides,
@@ -46,10 +48,8 @@ from lidartrack.pipeline import (
     stage2_refine,
     total_loss,
     track_frame,
-    track_frames,
     track_sequence,
     train,
-    export_predictions,
 )
 from lidartrack.pointcloud import Frame, build_st_cloud, split_by_time, with_channels
 
@@ -459,7 +459,7 @@ class TestTraining:
 class TestExportPredictions:
     def test_jsonl_round_trip(self, tmp_path):
         t = moving_tracklet(n_frames=4, seed=19)
-        res = track_frames(t.frames, t.gt_boxes[0], model32(), seed=0)
+        res = NetworkTracker(model32(), seed=0).track(t.frames, t.gt_boxes[0])
         path = tmp_path / "preds.jsonl"
         export_predictions([(t.id, res)], path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
