@@ -1,7 +1,7 @@
 """Minimal trainable point-network stack (numpy only).
 
 Layout:
-    autograd   Tensor, reverse-mode tape, primitive ops
+    autograd   Tensor, reverse-mode tape, no_grad, primitive ops
     losses     cross-entropy and Huber scalar losses
     network    model definition, forwards, checkpoint IO
     optim      Adam
@@ -17,6 +17,7 @@ from lidartrack.nn.autograd import (
     linear,
     matmul_const,
     maxpool_points,
+    no_grad,
     relu,
     repeat_rows,
     scale,
@@ -59,6 +60,7 @@ __all__ = [
     "matmul_const",
     "maxpool_points",
     "mlp_forward",
+    "no_grad",
     "relu",
     "repeat_rows",
     "save_checkpoint",

@@ -16,17 +16,26 @@ explicit parents and backward_fn, which the gradient-checker tests use to
 inject a deliberately broken rule.
 
 Gradients for ReLU at exactly zero and for ties in max pooling use fixed
-conventions: zero subgradient, and the lowest row index wins.
+conventions: zero subgradient, and the lowest row index wins.  Work that
+only a gradient needs is done in the backward rule: max pooling takes its
+argmax, and ReLU its positive mask, when the backward pass runs.
+
+Inside a ``no_grad()`` block no graph is recorded: every Tensor is built
+without parents or a backward function, so op results do not require
+gradients and their inputs are freed as soon as nothing else holds them.
+Inference runs in this mode; values are the same as with recording on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "backward",
     "zero_grad",
     "linear",
@@ -44,6 +53,25 @@ __all__ = [
 ]
 
 BackwardFn = Callable[[np.ndarray], tuple]
+
+# process-wide recording switch, flipped only by no_grad()
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block; the previous mode returns on exit.
+
+    Leaves keep the ``requires_grad`` they are built with, so parameters
+    created inside the block can still be trained outside it.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -63,10 +91,15 @@ class Tensor:
         if self.data.dtype.kind != "f":
             self.data = self.data.astype(np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
         self.op = op
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
+        if _recording:
+            self.parents = tuple(parents)
+            self.backward_fn = backward_fn
+            self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
+        else:
+            self.parents = ()
+            self.backward_fn = None
+            self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -149,11 +182,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     # np.maximum keeps NaN visible instead of flushing it to 0, so a
     # poisoned parameter still surfaces as a non-finite loss downstream
-    mask = x.data > 0
     return Tensor(
         np.maximum(x.data, 0.0),
         parents=(x,),
-        backward_fn=lambda g: (g * mask,),
+        backward_fn=lambda g: (g * (x.data > 0),),
         op="relu",
     )
 
@@ -168,10 +200,11 @@ def segment_maxpool(x: Tensor, segments: int) -> Tensor:
         raise ValueError(f"{rows} rows do not split into {segments} equal segments")
     n = rows // segments
     blocks = x.data.reshape(segments, n, cols)
-    arg = blocks.argmax(axis=1)  # ties resolve to the lowest row
-    out = np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :]
+    # max propagates NaN, and argmax picks the first NaN, so both agree
+    out = blocks.max(axis=1)
 
     def bw(g: np.ndarray):
+        arg = blocks.argmax(axis=1)  # ties resolve to the lowest row
         gx = np.zeros_like(blocks)
         np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
         return (gx.reshape(rows, cols),)

@@ -5,7 +5,8 @@ classifies each point from its local feature joined with the pooled global
 feature.  The two regression stages each run a per-point encoder, pool to a
 single embedding, and decode with linear heads.  All forwards accept plain
 arrays and lift them into the autograd graph, so the same code path serves
-training and inference.
+training and inference; inference runs it under ``no_grad()``, which
+records no graph.
 
 Checkpoints are a single binary file: magic, format version, a JSON header
 (config echo plus caller metadata), then raw little-endian float32

@@ -20,7 +20,9 @@ teacher-forces the discrete structure: stage inputs come from the
 ground-truth target mask and the static/dynamic branch follows the
 ground-truth motion label, keeping the regression targets stationary while
 the segmentation and motion classifiers are still learning.  Inference takes
-the predicted mask and the predicted branch instead.
+the predicted mask and the predicted branch instead, and its public entry
+points (`track_frame`, `segment_target`, `stage1_predict`, `stage2_refine`)
+run under ``no_grad()``: tracking records no autograd graph.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from lidartrack.nn import (
     cross_entropy,
     huber,
     matmul_const,
+    no_grad,
     scale,
     segment_forward,
     segment_forward_batched,
@@ -155,10 +158,10 @@ def _with_prior_fallback(
     return prior, True
 
 
-def _segment(st: STCloud, model: Model, b_prev: Box3D) -> tuple[np.ndarray, Tensor]:
-    """Predicted target mask over the joined cloud and the logits it came from."""
+def _segment(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
+    """Predicted target mask over the joined cloud."""
     logits = segment_forward(canonical_features(st, b_prev), model)
-    return logits.data.argmax(axis=1) == 1, logits
+    return logits.data.argmax(axis=1) == 1
 
 
 def segment_target(
@@ -169,7 +172,8 @@ def segment_target(
     Argmax of the per-point logits; an all-background prediction falls back
     to the prior mask, and an empty prior raises ``DegenerateTargetError``.
     """
-    return _with_prior_fallback(_segment(st, model, b_prev)[0], st, b_prev, margin)[0]
+    with no_grad():
+        return _with_prior_fallback(_segment(st, model, b_prev), st, b_prev, margin)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,8 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
     canon = pts.copy()
     canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
     canon *= COORD_SCALE
-    return _stage1(canon, b_prev, model, dynamic=None).output
+    with no_grad():
+        return _stage1(canon, b_prev, model, dynamic=None).output
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +283,8 @@ def stage2_refine(
     """Refine the coarse box from the motion-merged target points."""
     if len(prev_xyz) + len(cur_xyz) == 0:
         return s1.coarse_box
-    residual = _stage2(prev_xyz, cur_xyz, s1, model, s1.dynamic)
+    with no_grad():
+        residual = _stage2(prev_xyz, cur_xyz, s1, model, s1.dynamic)
     return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
 
 
@@ -322,55 +328,52 @@ def track_frame(
     flags the frame as degenerate.
     """
     t0 = time.perf_counter()
-    seed_prev, seed_cur = (int(s) for s in np.random.SeedSequence([seed, frame_index]).generate_state(2))
-    try:
-        prev_crop = crop_and_sample(prev, b_prev, margin=margin, n=n_points, rng_seed=seed_prev)
-    except EmptyRegionError:
-        center = np.array(b_prev.center).reshape(1, 3)
-        prev_crop = Frame(points=center, timestamp=prev.timestamp)
-    try:
-        cur_crop = crop_and_sample(cur, b_prev, margin=margin, n=n_points, rng_seed=seed_cur)
-    except EmptyRegionError:
-        return b_prev, FrameDiagnostics.since(t0, degenerate=True)
+    with no_grad():
+        seed_prev, seed_cur = (int(s) for s in np.random.SeedSequence([seed, frame_index]).generate_state(2))
+        try:
+            prev_crop = crop_and_sample(prev, b_prev, margin=margin, n=n_points, rng_seed=seed_prev)
+        except EmptyRegionError:
+            center = np.array(b_prev.center).reshape(1, 3)
+            prev_crop = Frame(points=center, timestamp=prev.timestamp)
+        try:
+            cur_crop = crop_and_sample(cur, b_prev, margin=margin, n=n_points, rng_seed=seed_cur)
+        except EmptyRegionError:
+            return b_prev, FrameDiagnostics.since(t0, degenerate=True)
 
-    st = with_channels(build_st_cloud(prev_crop, cur_crop), b_prev)
-    if overrides is not None and overrides.segment_fn is not None:
-        mask = np.asarray(overrides.segment_fn(frame_index, st, b_prev), dtype=bool).reshape(-1)
-        if mask.shape[0] != len(st):
-            raise ValueError(f"override mask length {mask.shape[0]} != cloud size {len(st)}")
-    else:
-        # the segmentation graph is held until the frame is done: freeing its
-        # activations before the stages run lets malloc trim the heap, and the
-        # stages then fault the pages back in (at 1024 points: twice the
-        # minor page faults and ~20% lower OPE throughput)
-        mask, seg_logits = _segment(st, model, b_prev)
-    try:
-        mask, fallback = _with_prior_fallback(mask, st, b_prev, margin)
-    except DegenerateTargetError:
-        return b_prev, FrameDiagnostics.since(t0, degenerate=True)
+        st = with_channels(build_st_cloud(prev_crop, cur_crop), b_prev)
+        if overrides is not None and overrides.segment_fn is not None:
+            mask = np.asarray(overrides.segment_fn(frame_index, st, b_prev), dtype=bool).reshape(-1)
+            if mask.shape[0] != len(st):
+                raise ValueError(f"override mask length {mask.shape[0]} != cloud size {len(st)}")
+        else:
+            mask = _segment(st, model, b_prev)
+        try:
+            mask, fallback = _with_prior_fallback(mask, st, b_prev, margin)
+        except DegenerateTargetError:
+            return b_prev, FrameDiagnostics.since(t0, degenerate=True)
 
-    targets = st.points[mask]
-    if overrides is not None and overrides.stage1_fn is not None:
-        s1 = overrides.stage1_fn(frame_index, targets, b_prev)
-    else:
-        s1 = stage1_predict(targets, b_prev, model)
+        targets = st.points[mask]
+        if overrides is not None and overrides.stage1_fn is not None:
+            s1 = overrides.stage1_fn(frame_index, targets, b_prev)
+        else:
+            s1 = stage1_predict(targets, b_prev, model)
 
-    prev_xyz, cur_xyz = split_by_time(st, mask)
-    if overrides is not None and overrides.stage2_fn is not None:
-        box = overrides.stage2_fn(frame_index, prev_xyz, cur_xyz, s1)
-    else:
-        box = stage2_refine(prev_xyz, cur_xyz, s1, model)
+        prev_xyz, cur_xyz = split_by_time(st, mask)
+        if overrides is not None and overrides.stage2_fn is not None:
+            box = overrides.stage2_fn(frame_index, prev_xyz, cur_xyz, s1)
+        else:
+            box = stage2_refine(prev_xyz, cur_xyz, s1, model)
 
-    diag = FrameDiagnostics.since(
-        t0,
-        n_prev_target=prev_xyz.shape[0],
-        n_cur_target=cur_xyz.shape[0],
-        dynamic=s1.dynamic,
-        fallback_mask=fallback,
-        refined_prev_box=s1.refined_prev_box,
-        coarse_box=s1.coarse_box,
-    )
-    return box, diag
+        diag = FrameDiagnostics.since(
+            t0,
+            n_prev_target=prev_xyz.shape[0],
+            n_cur_target=cur_xyz.shape[0],
+            dynamic=s1.dynamic,
+            fallback_mask=fallback,
+            refined_prev_box=s1.refined_prev_box,
+            coarse_box=s1.coarse_box,
+        )
+        return box, diag
 
 
 class NetworkTracker:

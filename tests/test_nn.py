@@ -24,6 +24,7 @@ from lidartrack.nn import (
     load_checkpoint,
     maxpool_points,
     mlp_forward,
+    no_grad,
     save_checkpoint,
     segment_forward,
     segment_forward_batched,
@@ -94,6 +95,29 @@ class TestMaxpool:
         assert np.all(x.grad[1] == 0.0) and np.all(x.grad[2] == 0.0)
         assert np.any(x.grad[0] != 0.0)
 
+    def test_segment_tie_routes_gradient_to_lowest_row_of_each_block(self):
+        x = param(np.array([
+            [0.0, 5.0], [3.0, 5.0], [3.0, 1.0],   # block 0: column 0 ties at rows 1 and 2
+            [7.0, 2.0], [7.0, 2.0], [7.0, 0.0],   # block 1: both columns tie from row 3
+        ]))
+        y = ag.segment_maxpool(x, 2)
+        np.testing.assert_array_equal(y.data, [[3.0, 5.0], [7.0, 2.0]])
+        zero_grad([x])
+        backward(huber(y, np.zeros((2, 2))))
+        hit = x.grad != 0.0
+        np.testing.assert_array_equal(hit, [
+            [False, True], [True, False], [False, False],
+            [True, True], [False, False], [False, False],
+        ])
+
+    def test_nan_pools_to_nan(self):
+        x = param(np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, -1.0], [4.0, 5.0]]))
+        y = ag.segment_maxpool(x, 2)
+        np.testing.assert_array_equal(y.data, [[np.nan, 2.0], [4.0, 5.0]])
+        # the backward rule routes the NaN column's gradient to the NaN row
+        (gx,) = y.backward_fn(np.ones((2, 2)))
+        np.testing.assert_array_equal(gx[:, 0], [0.0, 1.0, 0.0, 1.0])
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             maxpool_points(Tensor(np.zeros((0, 4))))
@@ -104,6 +128,87 @@ class TestMaxpool:
         target = rng.normal(size=(1, 5))
         err = grad_check([x], lambda: huber(maxpool_points(x), target), rng=rng)
         assert err < 1e-4
+
+
+class TestNoGrad:
+    @staticmethod
+    def records() -> bool:
+        p = param([1.0])
+        return bool(ag.add(p, p).parents)
+
+    def test_ops_record_no_graph(self):
+        rng = np.random.default_rng(5)
+        x = param(rng.normal(size=(4, 3)))
+        w, b = param(rng.normal(size=(3, 2))), param(np.zeros(2))
+        with no_grad():
+            h = ag.linear(x, w, b)
+            outs = [
+                h,
+                ag.relu(h),
+                ag.segment_maxpool(h, 2),
+                maxpool_points(h),
+                ag.repeat_rows(h, 2),
+                ag.concat_cols(h, x),
+                ag.slice_cols(x, 0, 2),
+                ag.add(x, x),
+                ag.sub(x, x),
+                ag.scale(x, 2.0),
+                ag.add_const(x, 1.0),
+                ag.matmul_const(x, np.eye(3)),
+                cross_entropy(h, np.array([0, 1, 1, 0])),
+                huber(h, np.zeros((4, 2))),
+            ]
+        for out in outs:
+            assert out.parents == () and out.backward_fn is None and out.requires_grad is False, out.op
+        assert self.records()
+
+    def test_leaves_keep_requires_grad(self):
+        p = param([1.0])
+        with no_grad():
+            q = param([2.0])
+            assert p.requires_grad and q.requires_grad
+        zero_grad([q])
+        backward(huber(ag.add(q, q), np.zeros(1)))
+        assert q.grad is not None
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert self.records()
+
+    def test_nested_use(self):
+        with no_grad():
+            with no_grad():
+                assert not self.records()
+            assert not self.records()
+        assert self.records()
+
+    def test_backward_on_root_built_under_it_raises(self):
+        p = param([1.0, -2.0])
+        with no_grad():
+            loss = huber(ag.scale(p, 3.0), np.zeros(2))
+        with pytest.raises(ValueError, match="does not depend on any parameter"):
+            backward(loss)
+
+    def test_forwards_bit_identical_at_1024_points(self):
+        model = Model()
+        rng = np.random.default_rng(6)
+        feats = rng.normal(size=(1024, 14)).astype(np.float32)
+        pts4 = rng.normal(size=(600, 4)).astype(np.float32)
+        pts3 = rng.normal(size=(900, 3)).astype(np.float32)
+
+        def run():
+            return [
+                segment_forward(feats, model).data,
+                *(t.data for t in stage1_forward(pts4, model)),
+                stage2_forward(pts3, model).data,
+            ]
+
+        with no_grad():
+            free = run()
+        for got, want in zip(free, run()):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSegmentForward:

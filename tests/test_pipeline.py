@@ -241,6 +241,30 @@ class TestTrackFrame:
         b, _ = track_frame(*args, seed=3)
         np.testing.assert_array_equal(a.as_vector(), b.as_vector())
 
+    def test_builds_no_graph(self, monkeypatch):
+        init = Tensor.__init__
+        built = []
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(bool(self.parents))
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        t = moving_tracklet(n_frames=2, seed=8)
+        _, diag = track_frame(t.frames[0], t.frames[1], t.gt_boxes[0], model32(), seed=0)
+        assert not diag.degenerate
+        assert built and not any(built)
+
+    def test_failed_frame_leaves_training_recording(self):
+        t = moving_tracklet(n_frames=3, seed=10)
+        short_mask = TrackOverrides(segment_fn=lambda i, st, b: np.ones(len(st) - 1, dtype=bool))
+        with pytest.raises(ValueError, match="override mask length"):
+            track_frame(t.frames[0], t.frames[1], t.gt_boxes[0], model32(), overrides=short_mask)
+        model = model32(seed=6)
+        cfg = TrainConfig(epochs=1, batch_size=4, n_points=64, augment=NO_AUG)
+        train(model, make_training_pairs([t]), cfg)
+        assert all(p.grad is not None and np.any(p.grad != 0) for p in model.parameters())
+
     def test_point_order_irrelevant(self):
         t = moving_tracklet(n_frames=2, seed=9)
         rng = np.random.default_rng(0)
