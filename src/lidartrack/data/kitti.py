@@ -108,20 +108,23 @@ def load_kitti_tracklets(seq_dir, sequence: str | None = None) -> list[Tracklet]
 
     # frame -> (box, category) lists keyed by track id, in file order
     per_track: dict[int, list[tuple[int, Box3D, str]]] = {}
-    for line in label_path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(label_path.read_text(encoding="utf-8").splitlines(), 1):
         fields = line.split()
         if not fields:
             continue
         if len(fields) < 17:
-            raise ValueError(f"{label_path}: malformed label row: {line!r}")
+            raise ValueError(f"{label_path}:{lineno}: malformed label row: {line!r}")
         kind = fields[2]
         if kind == "DontCare":
             continue
-        frame, tid = int(fields[0]), int(fields[1])
-        hwl = [float(v) for v in fields[10:13]]
-        loc = [float(v) for v in fields[13:16]]
-        ry = float(fields[16])
-        per_track.setdefault(tid, []).append((frame, lidar_box_from_camera(loc, hwl, ry, tr), kind))
+        try:  # bad numbers, sizes or positions: name the file and line
+            frame, tid = int(fields[0]), int(fields[1])
+            hwl = [float(v) for v in fields[10:13]]
+            loc = [float(v) for v in fields[13:16]]
+            box = lidar_box_from_camera(loc, hwl, float(fields[16]), tr)
+        except ValueError as exc:
+            raise ValueError(f"{label_path}:{lineno}: {exc}") from None
+        per_track.setdefault(tid, []).append((frame, box, kind))
 
     frame_cache: dict[int, Frame] = {}
 

@@ -98,7 +98,10 @@ def _read_tracklet(tdir: Path) -> Tracklet:
     meta_path = tdir / "meta.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"{meta_path}: missing tracklet metadata")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:  # truncated or not JSON
+        raise ValueError(f"{meta_path}: {exc}") from None
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"{meta_path}: unsupported format version {meta.get('format_version')}")
     timestamps = meta["timestamps"]
@@ -108,26 +111,23 @@ def _read_tracklet(tdir: Path) -> Tracklet:
         if not pts_path.is_file():
             raise FileNotFoundError(f"{pts_path}: missing point file")
         frames.append(_read_frame(pts_path, int(ts)))
-    boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
-    oracle = None
-    if "oracle" in meta:
-        o = meta["oracle"]
-        oracle = TrackletOracle(
-            target_masks=tuple(np.asarray(m, dtype=bool) for m in o["target_masks"]),
-            rtms=tuple(RTM(*v) for v in o["rtms"]),
-            dynamic_flags=tuple(o["dynamic_flags"]),
-            distractor_boxes=tuple(
-                tuple(Box3D.from_vector(v) for v in track) for track in o["distractor_boxes"]
-            ),
-        )
-    return Tracklet(
-        id=meta["id"],
-        frames=tuple(frames),
-        gt_boxes=boxes,
-        category=meta["category"],
-        source=meta["source"],
-        oracle=oracle,
-    )
+    try:  # bad boxes or oracle, or a box count that does not match the frames
+        boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
+        oracle = None
+        if "oracle" in meta:
+            o = meta["oracle"]
+            oracle = TrackletOracle(
+                target_masks=tuple(np.asarray(m, dtype=bool) for m in o["target_masks"]),
+                rtms=tuple(RTM(*v) for v in o["rtms"]),
+                dynamic_flags=tuple(o["dynamic_flags"]),
+                distractor_boxes=tuple(
+                    tuple(Box3D.from_vector(v) for v in track) for track in o["distractor_boxes"]
+                ),
+            )
+        return Tracklet(id=meta["id"], frames=tuple(frames), gt_boxes=boxes,
+                        category=meta["category"], source=meta["source"], oracle=oracle)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def read_native(root, split: Optional[str] = None) -> list[Tracklet]:

@@ -13,17 +13,15 @@ from lidartrack.nn.autograd import (
     add,
     add_const,
     backward,
-    concat_cols,
     linear,
     matmul_const,
     maxpool_points,
     no_grad,
+    pooled_linear,
     relu,
-    repeat_rows,
     scale,
     segment_maxpool,
     slice_cols,
-    sub,
     zero_grad,
 )
 from lidartrack.nn.gradcheck import grad_check
@@ -51,7 +49,6 @@ __all__ = [
     "add",
     "add_const",
     "backward",
-    "concat_cols",
     "cross_entropy",
     "grad_check",
     "huber",
@@ -61,8 +58,8 @@ __all__ = [
     "maxpool_points",
     "mlp_forward",
     "no_grad",
+    "pooled_linear",
     "relu",
-    "repeat_rows",
     "save_checkpoint",
     "scale",
     "segment_forward",
@@ -71,6 +68,5 @@ __all__ = [
     "slice_cols",
     "stage1_forward",
     "stage2_forward",
-    "sub",
     "zero_grad",
 ]

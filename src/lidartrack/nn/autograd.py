@@ -7,13 +7,13 @@ backward() on a scalar Tensor walks the recorded graph in reverse
 topological order and accumulates gradients into every Tensor that
 requires them.
 
-The op set is deliberately small: affine layers, ReLU, row-wise max
-pooling, row repetition, column concat/slice, elementwise add/sub/scale,
-and multiplication by a constant matrix.  That is enough to express every
-network in this package while keeping each backward rule a few lines of
-numpy.  New ops can be added from outside by constructing a Tensor with
-explicit parents and backward_fn, which the gradient-checker tests use to
-inject a deliberately broken rule.
+The op set is deliberately small: affine layers (plain, and joined with a
+per-block pooled row), ReLU, row-wise max pooling, column slice,
+elementwise add/scale, and multiplication by a constant matrix.  That is
+enough to express every network in this package while keeping each
+backward rule a few lines of numpy.  New ops can be added from outside by
+constructing a Tensor with explicit parents and backward_fn, which the
+gradient-checker tests use to inject a deliberately broken rule.
 
 Gradients for ReLU at exactly zero and for ties in max pooling use fixed
 conventions: zero subgradient, and the lowest row index wins.  Work that
@@ -39,14 +39,12 @@ __all__ = [
     "backward",
     "zero_grad",
     "linear",
+    "pooled_linear",
     "relu",
     "maxpool_points",
     "segment_maxpool",
-    "repeat_rows",
-    "concat_cols",
     "slice_cols",
     "add",
-    "sub",
     "scale",
     "add_const",
     "matmul_const",
@@ -179,6 +177,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(x, w, b), backward_fn=bw, op="linear")
 
 
+def pooled_linear(local: Tensor, pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``[local | pooled row of its block] @ w + b`` without building the join.
+
+    `local` is (B * n, C), `pooled` is (B, P) and w is (C + P, out): the
+    pooled half of w is applied once per block and broadcast onto its n rows.
+    """
+    _as2d(local, "pooled_linear")
+    _as2d(pooled, "pooled_linear")
+    (rows, c), blocks = local.data.shape, pooled.data.shape[0]
+    if blocks == 0 or rows % blocks != 0:
+        raise ValueError(f"pooled_linear: {rows} rows do not split into {blocks} blocks")
+    if w.data.ndim != 2 or w.data.shape[0] != c + pooled.data.shape[1]:
+        raise ValueError(f"pooled_linear shape mismatch: local {local.data.shape}, "
+                         f"pooled {pooled.data.shape} vs w {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ValueError(f"pooled_linear bias shape {b.data.shape} does not match w {w.data.shape}")
+    n, h = rows // blocks, w.data.shape[1]
+    out = (local.data @ w.data[:c]).reshape(blocks, n, h)
+    out += (pooled.data @ w.data[c:] + b.data)[:, None, :]
+
+    def bw(g: np.ndarray):
+        gsum = g.reshape(blocks, n, h).sum(axis=1)
+        glocal = g @ w.data[:c].T if local.requires_grad else None
+        gpooled = gsum @ w.data[c:].T if pooled.requires_grad else None
+        gw = np.vstack([local.data.T @ g, pooled.data.T @ gsum]) if w.requires_grad else None
+        gb = gsum.sum(axis=0) if b.requires_grad else None
+        return glocal, gpooled, gw, gb
+
+    return Tensor(out.reshape(rows, h), parents=(local, pooled, w, b), backward_fn=bw, op="pooled_linear")
+
+
 def relu(x: Tensor) -> Tensor:
     # np.maximum keeps NaN visible instead of flushing it to 0, so a
     # poisoned parameter still surfaces as a non-finite loss downstream
@@ -217,34 +246,6 @@ def maxpool_points(x: Tensor) -> Tensor:
     return segment_maxpool(x, 1)
 
 
-def repeat_rows(x: Tensor, k: int) -> Tensor:
-    """Repeat each row k times consecutively: (B, C) -> (B * k, C)."""
-    _as2d(x, "repeat_rows")
-    if k < 1:
-        raise ValueError("repeat count must be positive")
-    rows, cols = x.data.shape
-    out = np.repeat(x.data, k, axis=0)
-
-    def bw(g: np.ndarray):
-        return (g.reshape(rows, k, cols).sum(axis=1),)
-
-    return Tensor(out, parents=(x,), backward_fn=bw, op="repeat_rows")
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    _as2d(a, "concat_cols")
-    _as2d(b, "concat_cols")
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ValueError(f"row mismatch: {a.data.shape} vs {b.data.shape}")
-    ca = a.data.shape[1]
-    out = np.hstack([a.data, b.data])
-
-    def bw(g: np.ndarray):
-        return g[:, :ca], g[:, ca:]
-
-    return Tensor(out, parents=(a, b), backward_fn=bw, op="concat_cols")
-
-
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
     _as2d(x, "slice_cols")
     if not (0 <= lo < hi <= x.data.shape[1]):
@@ -263,12 +264,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     return Tensor(a.data + b.data, parents=(a, b), backward_fn=lambda g: (g, g), op="add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return Tensor(a.data - b.data, parents=(a, b), backward_fn=lambda g: (g, -g), op="sub")
 
 
 def scale(x: Tensor, s: float) -> Tensor:

@@ -39,7 +39,7 @@ def _relu_nodes(root: Tensor) -> list[Tensor]:
 
 
 def _nudge_relu_kinks(loss_fn: Callable[[], Tensor], max_rounds: int = 100) -> None:
-    """Shift linear biases until no pre-activation is near a ReLU kink.
+    """Shift layer biases until no pre-activation is near a ReLU kink.
 
     Each round rebuilds the graph, finds ReLU inputs with |value| below the
     tolerance, and raises the producing layer's bias for those columns.
@@ -50,9 +50,9 @@ def _nudge_relu_kinks(loss_fn: Callable[[], Tensor], max_rounds: int = 100) -> N
         moved = False
         for node in _relu_nodes(loss_fn()):
             pre = node.parents[0]
-            if pre.op != "linear":
+            if pre.op not in ("linear", "pooled_linear"):
                 continue
-            bias = pre.parents[2]
+            bias = pre.parents[-1]  # both layer ops take the bias last
             near = np.abs(pre.data) < _KINK_TOL
             cols = np.flatnonzero(near.any(axis=0))
             if cols.size:

@@ -26,11 +26,10 @@ import numpy as np
 
 from lidartrack.nn.autograd import (
     Tensor,
-    concat_cols,
     linear,
     maxpool_points,
+    pooled_linear,
     relu,
-    repeat_rows,
     segment_maxpool,
     slice_cols,
 )
@@ -160,17 +159,18 @@ class Model:
 def segment_forward_batched(features, model: Model, batch: int) -> Tensor:
     """Per-point two-class logits for `batch` stacked equal-size samples.
 
-    `features` holds the samples' rows concatenated, (batch * n, 14); the
-    pooled global feature is computed per sample and tiled back onto its
-    own rows before the classification head.
+    `features` holds the samples' rows concatenated, (batch * n, 14).  Each
+    point is classified from its local feature joined with its sample's
+    pooled global feature; the head's first layer applies its pooled half
+    once per sample, so the join is never built.
     """
     x = model.lift(features)
     if x.data.ndim != 2 or x.data.shape[1] != SEG_IN:
         raise ValueError(f"expected (rows, {SEG_IN}) features, got {x.data.shape}")
     local = model.seg_trunk(x)
-    pooled = segment_maxpool(local, batch)
-    tiled = repeat_rows(pooled, x.data.shape[0] // batch)
-    return model.seg_head(concat_cols(local, tiled))
+    (w, b), *rest = model.seg_head.layers
+    hidden = relu(pooled_linear(local, segment_maxpool(local, batch), w, b))
+    return mlp_forward(hidden, rest)
 
 
 def segment_forward(features, model: Model) -> Tensor:

@@ -264,6 +264,37 @@ class TestNativeFormat:
         with pytest.raises(ValueError, match="version"):
             read_native(tmp_path)
 
+    def rewrite_meta(self, tmp_path, edit):
+        write_native(self.make_dataset(), tmp_path)
+        meta_path = sorted(tmp_path.rglob("meta.json"))[1]
+        meta_path.write_text(edit(meta_path.read_text()))
+        return re.escape(str(meta_path))
+
+    def test_truncated_meta_names_file(self, tmp_path):
+        path = self.rewrite_meta(tmp_path, lambda text: text[: len(text) // 2])
+        with pytest.raises(ValueError, match=rf"^{path}: "):
+            read_native(tmp_path)
+
+    def test_fewer_boxes_than_frames_names_file(self, tmp_path):
+        def drop_box(text):
+            meta = json.loads(text)
+            meta["boxes"].pop()
+            return json.dumps(meta)
+
+        path = self.rewrite_meta(tmp_path, drop_box)
+        with pytest.raises(ValueError, match=rf"^{path}: .*frames and boxes"):
+            read_native(tmp_path)
+
+    def test_zero_size_box_names_file(self, tmp_path):
+        def flatten_box(text):
+            meta = json.loads(text)
+            meta["boxes"][2][5] = 0.0  # (cx, cy, cz, w, l, h, yaw)
+            return json.dumps(meta)
+
+        path = self.rewrite_meta(tmp_path, flatten_box)
+        with pytest.raises(ValueError, match=rf"^{path}: size components must be positive"):
+            read_native(tmp_path)
+
     def test_split_filtering(self, tmp_path):
         ds = self.make_dataset()
         write_native(ds, tmp_path, splits={ds[0].id: "train", ds[1].id: "val"})
@@ -399,4 +430,20 @@ class TestKittiIngestion:
         seq_dir = write_kitti_sequence(tmp_path, labels, {0: pts})
         path = seq_dir / "velodyne" / "000000.bin"
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*row 3\b"):
+            load_kitti_tracklets(seq_dir)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0 0 Car 0 0 0.0 0 0 50 50 1.6 wide 4.0 0 0 10 0", "could not convert string to float"),
+            (label_row(1, 0, (0, 0, 11), (1.6, 0.0, 4.0), 0.0), "size components must be positive"),
+            (label_row(1, 0, (float("nan"), 0, 11), (1.6, 1.8, 4.0), 0.0), "center must be finite"),
+        ],
+        ids=["non-numeric", "zero-size", "nan"],
+    )
+    def test_bad_label_row_names_file_and_line(self, tmp_path, row, message):
+        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0), "", row]
+        seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3)), 1: np.zeros((0, 3))})
+        path = seq_dir / "label_02" / "0000.txt"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
             load_kitti_tracklets(seq_dir)

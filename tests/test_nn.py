@@ -130,6 +130,43 @@ class TestMaxpool:
         assert err < 1e-4
 
 
+class TestPooledLinear:
+    @staticmethod
+    def inputs(blocks, n=4, c=5, p=3, h=2, seed=0):
+        rng = np.random.default_rng(seed)
+        return (param(rng.normal(size=(blocks * n, c))), param(rng.normal(size=(blocks, p))),
+                param(rng.normal(size=(c + p, h))), param(rng.normal(size=h)))
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_equals_joined_reference(self, blocks):
+        local, pooled, w, b = self.inputs(blocks)
+        n = local.data.shape[0] // blocks
+        joined = np.hstack([local.data, np.repeat(pooled.data, n, axis=0)])
+        got = ag.pooled_linear(local, pooled, w, b).data
+        np.testing.assert_allclose(got, joined @ w.data + b.data, rtol=0, atol=1e-12)
+
+    def test_finite_difference(self):
+        local, pooled, w, b = self.inputs(3, seed=1)
+        target = np.random.default_rng(2).normal(size=(12, 2))
+        params = [local, pooled, w, b]
+        err = grad_check(params, lambda: huber(ag.pooled_linear(*params), target))
+        assert err < 1e-4
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"local": np.zeros((10, 5))},   # 10 rows do not split into 3 blocks
+            {"w": np.zeros((7, 2))},        # needs 5 + 3 input rows
+            {"b": np.zeros(3)},             # needs one bias per output column
+        ],
+    )
+    def test_shape_mismatch_rejected(self, bad):
+        args = dict(zip(("local", "pooled", "w", "b"), self.inputs(3)))
+        args.update({k: param(v) for k, v in bad.items()})
+        with pytest.raises(ValueError):
+            ag.pooled_linear(args["local"], args["pooled"], args["w"], args["b"])
+
+
 class TestNoGrad:
     @staticmethod
     def records() -> bool:
@@ -140,6 +177,7 @@ class TestNoGrad:
         rng = np.random.default_rng(5)
         x = param(rng.normal(size=(4, 3)))
         w, b = param(rng.normal(size=(3, 2))), param(np.zeros(2))
+        w_joined = param(rng.normal(size=(5, 2)))
         with no_grad():
             h = ag.linear(x, w, b)
             outs = [
@@ -147,11 +185,9 @@ class TestNoGrad:
                 ag.relu(h),
                 ag.segment_maxpool(h, 2),
                 maxpool_points(h),
-                ag.repeat_rows(h, 2),
-                ag.concat_cols(h, x),
+                ag.pooled_linear(x, ag.segment_maxpool(h, 2), w_joined, b),
                 ag.slice_cols(x, 0, 2),
                 ag.add(x, x),
-                ag.sub(x, x),
                 ag.scale(x, 2.0),
                 ag.add_const(x, 1.0),
                 ag.matmul_const(x, np.eye(3)),
@@ -410,6 +446,25 @@ class TestGradCheckNets:
         assert grad_check(params, loss, nudge=False, rng=np.random.default_rng(0)) > 1e-2
         params, loss = build()
         assert grad_check(params, loss, nudge=True, rng=np.random.default_rng(0)) < 1e-4
+
+    def test_relu_kink_nudging_in_segmentation_head(self):
+        # one hidden unit of the head's first layer (the joined local +
+        # pooled input) has an all-zero pre-activation on every row
+        def build():
+            model = f64_model(seed=4)
+            w, b = model.seg_head.layers[0]
+            w.data[:, 5] = 0.0
+            b.data[5] = 0.0
+            return model, b
+
+        rng = np.random.default_rng(15)
+        feats = rng.normal(size=(12, 14))
+        labels = rng.integers(0, 2, size=12)
+        for nudge, holds in ((False, False), (True, True)):
+            model, b = build()
+            err = grad_check([b], lambda: cross_entropy(segment_forward(feats, model), labels),
+                             nudge=nudge, rng=np.random.default_rng(0))
+            assert (err < 1e-4) == holds, err
 
 
 class TestModelAndCheckpoint:
