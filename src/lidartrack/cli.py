@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from lidartrack.config import ConfigError, ExperimentConfig, PRESETS
-from lidartrack.data import make_synthetic_dataset, make_training_pairs, read_native, write_native
+from lidartrack.data import is_dynamic, make_synthetic_dataset, make_training_pairs, read_native, write_native
 from lidartrack.evaluation import (
     KalmanCVTracker,
     OpeReport,
@@ -27,6 +27,7 @@ from lidartrack.evaluation import (
     run_ope,
     score_predictions,
 )
+from lidartrack.geometry import infer_rtm
 from lidartrack.nn import Model, load_checkpoint, save_checkpoint
 from lidartrack.pipeline import NetworkTracker, train
 
@@ -153,11 +154,11 @@ def cmd_generate(args, cfg: ExperimentConfig) -> int:
     write_native(dataset, out)
     _write_snapshot(out, args, cfg)
     n_frames = sum(len(t.frames) for t in dataset)
-    dynamic = sum(sum(t.oracle.dynamic_flags) for t in dataset if t.oracle)
-    pairs = sum(len(t.frames) - 1 for t in dataset)
+    pairs = make_training_pairs(dataset)
+    dynamic = sum(is_dynamic(infer_rtm(p.prev_box, p.cur_box)) for p in pairs)
     print(
         f"wrote {len(dataset)} tracklets ({n_frames} frames, "
-        f"{dynamic} dynamic / {pairs - dynamic} static pairs) to {out}"
+        f"{dynamic} dynamic / {len(pairs) - dynamic} static pairs) to {out}"
     )
     return 0
 

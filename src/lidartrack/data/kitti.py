@@ -53,7 +53,10 @@ def _read_calib(path: Path) -> np.ndarray:
             continue
         key, rest = line.split(":", 1)
         if key.strip() in _CALIB_KEYS:
-            vals = np.array([float(v) for v in rest.split()])
+            try:  # a value that is not a number: name the file
+                vals = np.array([float(v) for v in rest.split()])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             if vals.size != 12:
                 raise ValueError(f"{path}: {key} must have 12 values, found {vals.size}")
             tr = np.eye(4)

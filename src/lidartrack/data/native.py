@@ -1,33 +1,37 @@
-"""Native on-disk dataset format.
+"""Native on-disk dataset format, version 2.
 
 Layout under a root directory:
 
     manifest.json                      format version + tracklet index with split tags
-    <tracklet-dir>/meta.json           id, category, source, timestamps, boxes, oracle
+    <tracklet-dir>/meta.json           id, category, source, timestamps, boxes, distractor boxes
     <tracklet-dir>/points_000.bin      packed little-endian float32, xyz per point
 
-Boxes and oracle annotations live in JSON (lossless for float64 via
-repr-style serialization); point coordinates are quantized to float32 by
-the binary files, so a first write is lossy at most to that precision and
-every later round-trip is bit-stable.
+Boxes live in JSON (lossless for float64 via repr-style serialization);
+point coordinates are quantized to float32 by the binary files, so a first
+write is lossy at most to that precision and every later round-trip is
+bit-stable.  Only what the boxes cannot give is stored: the target motion
+and its masks follow from the boxes.  Version 1 files, which also held
+target masks, RTMs and dynamic flags, still read; those fields are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from lidartrack.data.tracklets import Tracklet, TrackletOracle
-from lidartrack.geometry import Box3D, RTM
+from lidartrack.geometry import Box3D
 from lidartrack.pointcloud import Frame
 
 __all__ = ["write_native", "read_native"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 def _dir_name(tracklet_id: str, taken: set[str]) -> str:
@@ -44,13 +48,22 @@ def _box_list(boxes: Sequence[Box3D]) -> list[list[float]]:
     return [[float(v) for v in b.as_vector()] for b in boxes]
 
 
-def _oracle_dict(oracle: TrackletOracle) -> dict:
-    return {
-        "target_masks": [mask.astype(int).tolist() for mask in oracle.target_masks],
-        "rtms": [[float(v) for v in m.as_vector()] for m in oracle.rtms],
-        "dynamic_flags": [bool(f) for f in oracle.dynamic_flags],
-        "distractor_boxes": [_box_list(track) for track in oracle.distractor_boxes],
-    }
+@contextmanager
+def _naming(path: Path):
+    """Re-raise a malformed file's error as ValueError('<path>: ...')."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:  # also json.JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_json(path: Path) -> dict:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if doc.get("format_version") not in _READABLE_VERSIONS:
+        raise ValueError(f"unsupported format version {doc.get('format_version')}")
+    return doc
 
 
 def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str, str]] = None) -> None:
@@ -73,7 +86,7 @@ def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str,
             "boxes": _box_list(t.gt_boxes),
         }
         if t.oracle is not None:
-            meta["oracle"] = _oracle_dict(t.oracle)
+            meta["oracle"] = {"distractor_boxes": [_box_list(track) for track in t.oracle.distractor_boxes]}
         (tdir / "meta.json").write_text(json.dumps(meta) + "\n", encoding="utf-8")
         for i, frame in enumerate(t.frames):
             data = frame.points.astype("<f4").tobytes()
@@ -84,6 +97,8 @@ def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str,
 
 
 def _read_frame(path: Path, timestamp: int) -> Frame:
+    if not path.is_file():
+        raise FileNotFoundError(f"{path}: missing point file")
     raw = path.read_bytes()
     if len(raw) % 12 != 0:
         raise ValueError(f"{path}: corrupt point file, {len(raw)} bytes is not a whole number of xyz float32 triples")
@@ -98,36 +113,18 @@ def _read_tracklet(tdir: Path) -> Tracklet:
     meta_path = tdir / "meta.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"{meta_path}: missing tracklet metadata")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:  # truncated or not JSON
-        raise ValueError(f"{meta_path}: {exc}") from None
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"{meta_path}: unsupported format version {meta.get('format_version')}")
-    timestamps = meta["timestamps"]
-    frames = []
-    for i, ts in enumerate(timestamps):
-        pts_path = tdir / f"points_{i:03d}.bin"
-        if not pts_path.is_file():
-            raise FileNotFoundError(f"{pts_path}: missing point file")
-        frames.append(_read_frame(pts_path, int(ts)))
-    try:  # bad boxes or oracle, or a box count that does not match the frames
+    with _naming(meta_path):  # truncated JSON, a missing key, bad boxes
+        meta = _load_json(meta_path)
+        timestamps = [int(ts) for ts in meta["timestamps"]]
         boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
         oracle = None
-        if "oracle" in meta:
-            o = meta["oracle"]
-            oracle = TrackletOracle(
-                target_masks=tuple(np.asarray(m, dtype=bool) for m in o["target_masks"]),
-                rtms=tuple(RTM(*v) for v in o["rtms"]),
-                dynamic_flags=tuple(o["dynamic_flags"]),
-                distractor_boxes=tuple(
-                    tuple(Box3D.from_vector(v) for v in track) for track in o["distractor_boxes"]
-                ),
-            )
-        return Tracklet(id=meta["id"], frames=tuple(frames), gt_boxes=boxes,
+        if "oracle" in meta:  # a v1 oracle's masks, RTMs and flags are ignored
+            tracks = meta["oracle"]["distractor_boxes"]
+            oracle = TrackletOracle(distractor_boxes=[[Box3D.from_vector(v) for v in track] for track in tracks])
+    frames = tuple(_read_frame(tdir / f"points_{i:03d}.bin", ts) for i, ts in enumerate(timestamps))
+    with _naming(meta_path):  # a box count that does not match the frames
+        return Tracklet(id=meta["id"], frames=frames, gt_boxes=boxes,
                         category=meta["category"], source=meta["source"], oracle=oracle)
-    except ValueError as exc:
-        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def read_native(root, split: Optional[str] = None) -> list[Tracklet]:
@@ -135,12 +132,8 @@ def read_native(root, split: Optional[str] = None) -> list[Tracklet]:
     root = Path(root)
     manifest_path = root / "manifest.json"
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"{manifest_path}: unsupported format version {manifest.get('format_version')}"
-            )
-        entries = manifest["tracklets"]
+        with _naming(manifest_path):
+            entries = _load_json(manifest_path)["tracklets"]
     else:
         # no manifest: scan for tracklet directories; empty dir is fine
         entries = [

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from lidartrack.data.tracklets import Tracklet, TrackletOracle, is_dynamic
-from lidartrack.geometry import Box3D, infer_rtm, iou3d, wrap_angle, yaw_matrix
+from lidartrack.data.tracklets import Tracklet, TrackletOracle
+from lidartrack.geometry import Box3D, iou3d, wrap_angle, yaw_matrix
 from lidartrack.pointcloud import Frame
 
 __all__ = [
@@ -197,20 +197,13 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
         frames.append(Frame(points=points, timestamp=t))
         masks.append(mask)
 
-    rtms = tuple(infer_rtm(a, b) for a, b in zip(target_boxes, target_boxes[1:]))
-    oracle = TrackletOracle(
-        target_masks=tuple(masks),
-        rtms=rtms,
-        dynamic_flags=tuple(is_dynamic(m) for m in rtms),
-        distractor_boxes=tuple(tuple(track) for track in distractor_tracks),
-    )
     return Tracklet(
         id=tracklet_id or f"syn-{spec.seed}",
         frames=tuple(frames),
         gt_boxes=tuple(target_boxes),
         category=spec.category,
         source="synthetic",
-        oracle=oracle,
+        oracle=TrackletOracle(target_masks=masks, distractor_boxes=distractor_tracks),
     )
 
 

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lidartrack.geometry import RTM, Box3D, infer_rtm
+from lidartrack.geometry import RTM, Box3D
 from lidartrack.pointcloud import Frame
 
 __all__ = [
@@ -25,25 +25,19 @@ DYNAMIC_DISPLACEMENT = 0.15
 
 @dataclass(frozen=True)
 class TrackletOracle:
-    """Ground-truth annotations beyond the box track itself.
+    """Ground truth the box track cannot give; the motion comes from the boxes.
 
-    target_masks: per frame, True for rows belonging to the target
-    rtms / dynamic_flags: one entry per consecutive frame pair
+    target_masks: per frame, True for rows belonging to the target; known
+        only for generated tracklets, empty when read back from disk
     distractor_boxes: one full box track per distractor object
     """
 
-    target_masks: tuple[np.ndarray, ...]
-    rtms: tuple[RTM, ...]
-    dynamic_flags: tuple[bool, ...]
+    target_masks: tuple[np.ndarray, ...] = ()
     distractor_boxes: tuple[tuple[Box3D, ...], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "target_masks", tuple(np.asarray(m, dtype=bool) for m in self.target_masks))
-        object.__setattr__(self, "rtms", tuple(self.rtms))
-        object.__setattr__(self, "dynamic_flags", tuple(bool(f) for f in self.dynamic_flags))
         object.__setattr__(self, "distractor_boxes", tuple(tuple(track) for track in self.distractor_boxes))
-        if len(self.rtms) != len(self.dynamic_flags):
-            raise ValueError("rtms and dynamic_flags must have equal length")
 
 
 @dataclass(frozen=True)
@@ -67,11 +61,9 @@ class Tracklet:
             raise ValueError("frame timestamps must be strictly increasing")
         if self.source not in ("synthetic", "kitti"):
             raise ValueError(f"unknown source {self.source!r}")
-        if self.oracle is not None:
+        if self.oracle is not None and self.oracle.target_masks:
             if len(self.oracle.target_masks) != len(self.frames):
                 raise ValueError("oracle masks must cover every frame")
-            if len(self.oracle.rtms) != len(self.frames) - 1:
-                raise ValueError("oracle needs one RTM per consecutive frame pair")
             for mask, frame in zip(self.oracle.target_masks, self.frames):
                 if mask.shape != (len(frame),):
                     raise ValueError("oracle mask length must match its frame")
@@ -87,32 +79,16 @@ def is_dynamic(m: RTM) -> bool:
 
 @dataclass(frozen=True)
 class TrainingPair:
-    tracklet_id: str
-    frame_index: int  # index of the earlier frame within its tracklet
     prev_frame: Frame
     cur_frame: Frame
     prev_box: Box3D
     cur_box: Box3D
-    rtm: RTM
-    dynamic: bool
 
 
 def make_training_pairs(tracklets: Sequence[Tracklet]) -> list[TrainingPair]:
     """One sample per consecutive annotated frame pair across all tracklets."""
-    pairs: list[TrainingPair] = []
-    for t in tracklets:
-        for i in range(len(t) - 1):
-            m = infer_rtm(t.gt_boxes[i], t.gt_boxes[i + 1])
-            pairs.append(
-                TrainingPair(
-                    tracklet_id=t.id,
-                    frame_index=i,
-                    prev_frame=t.frames[i],
-                    cur_frame=t.frames[i + 1],
-                    prev_box=t.gt_boxes[i],
-                    cur_box=t.gt_boxes[i + 1],
-                    rtm=m,
-                    dynamic=is_dynamic(m),
-                )
-            )
-    return pairs
+    return [
+        TrainingPair(t.frames[i], t.frames[i + 1], t.gt_boxes[i], t.gt_boxes[i + 1])
+        for t in tracklets
+        for i in range(len(t) - 1)
+    ]

@@ -21,18 +21,23 @@ from lidartrack.data import (
     Tracklet,
     camera_label_from_box,
     generate_synthetic_tracklet,
+    is_dynamic,
     load_kitti_tracklets,
     make_synthetic_dataset,
     make_training_pairs,
     read_native,
     write_native,
 )
-from lidartrack.geometry import Box3D, RTM, apply_rtm, iou3d, points_in_box, wrap_angle
-from lidartrack.pointcloud import Frame
+from lidartrack.geometry import Box3D, RTM, apply_rtm, infer_rtm, iou3d, points_in_box, wrap_angle
 
 
 def expanded(box: Box3D, pad: float) -> Box3D:
     return Box3D(center=box.center, size=np.asarray(box.size) + 2 * pad, yaw=box.yaw)
+
+
+def box_motions(t: Tracklet) -> list[RTM]:
+    """The target motion between consecutive frames, read off the GT boxes."""
+    return [infer_rtm(a, b) for a, b in zip(t.gt_boxes, t.gt_boxes[1:])]
 
 
 class TestSceneSpecValidation:
@@ -52,9 +57,9 @@ class TestSceneSpecValidation:
 class TestSyntheticGenerator:
     def test_static_spec_zero_motion(self):
         t = generate_synthetic_tracklet(SceneSpec(motion="static", noise_sigma=0.0, seed=1))
-        for m in t.oracle.rtms:
+        for m in box_motions(t):
             np.testing.assert_array_equal(m.as_vector(), np.zeros(4))
-        assert not any(t.oracle.dynamic_flags)
+        assert not any(is_dynamic(m) for m in box_motions(t))
 
     def test_unit_displacement_rtm(self):
         spec = SceneSpec(
@@ -65,14 +70,14 @@ class TestSyntheticGenerator:
             seed=2,
         )
         t = generate_synthetic_tracklet(spec)
-        for m in t.oracle.rtms:
+        for m in box_motions(t):
             np.testing.assert_allclose(m.as_vector(), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-        assert all(t.oracle.dynamic_flags)
+        assert all(is_dynamic(m) for m in box_motions(t))
 
     def test_turning_constant_yaw_rate(self):
         spec = SceneSpec(motion="turning", n_frames=10, seed=3)
         t = generate_synthetic_tracklet(spec)
-        rates = [m.dtheta for m in t.oracle.rtms]
+        rates = [m.dtheta for m in box_motions(t)]
         np.testing.assert_allclose(rates, rates[0], atol=1e-12)
         assert abs(rates[0]) <= np.deg2rad(5.0)
 
@@ -161,17 +166,6 @@ class TestSyntheticGenerator:
                 np.testing.assert_array_equal(fa.points, fb.points)
 
 
-def two_frame_tracklet(displacement: float) -> Tracklet:
-    b0 = Box3D(center=[0, 0, 0.8], size=CAR_SIZE, yaw=0.0)
-    b1 = apply_rtm(b0, RTM(displacement, 0.0, 0.0, 0.0))
-    rng = np.random.default_rng(0)
-    frames = (
-        Frame(points=rng.normal(size=(5, 3)), timestamp=0),
-        Frame(points=rng.normal(size=(5, 3)), timestamp=1),
-    )
-    return Tracklet(id="t", frames=frames, gt_boxes=(b0, b1))
-
-
 class TestTrainingPairs:
     def test_pair_count(self):
         t = generate_synthetic_tracklet(SceneSpec(n_frames=7, seed=11))
@@ -182,15 +176,15 @@ class TestTrainingPairs:
         assert make_training_pairs([t]) == []
 
     def test_dynamic_threshold(self):
-        assert make_training_pairs([two_frame_tracklet(0.2)])[0].dynamic is True
-        assert make_training_pairs([two_frame_tracklet(0.1)])[0].dynamic is False
-        # rule is strictly greater than 0.15 m
-        assert make_training_pairs([two_frame_tracklet(0.15)])[0].dynamic is False
+        b0 = Box3D(center=[0, 0, 0.8], size=CAR_SIZE, yaw=0.0)
 
-    def test_pair_carries_consistent_rtm(self):
-        pair = make_training_pairs([two_frame_tracklet(0.4)])[0]
-        moved = apply_rtm(pair.prev_box, pair.rtm)
-        np.testing.assert_allclose(moved.as_vector(), pair.cur_box.as_vector(), atol=1e-12)
+        def dynamic(displacement: float) -> bool:
+            return is_dynamic(infer_rtm(b0, apply_rtm(b0, RTM(displacement, 0.0, 0.0, 0.0))))
+
+        assert dynamic(0.2) is True
+        assert dynamic(0.1) is False
+        # rule is strictly greater than 0.15 m
+        assert dynamic(0.15) is False
 
 
 class TestNativeFormat:
@@ -213,11 +207,52 @@ class TestNativeFormat:
                 assert fa.timestamp == fb.timestamp
             for ba, bb in zip(a.gt_boxes, b.gt_boxes):
                 np.testing.assert_array_equal(ba.as_vector(), bb.as_vector())
-            for ma, mb in zip(a.oracle.target_masks, b.oracle.target_masks):
-                np.testing.assert_array_equal(ma, mb)
-            for ra, rb in zip(a.oracle.rtms, b.oracle.rtms):
-                np.testing.assert_array_equal(ra.as_vector(), rb.as_vector())
-            assert a.oracle.dynamic_flags == b.oracle.dynamic_flags
+
+    def test_v2_stores_only_what_the_boxes_cannot_give(self, tmp_path):
+        write_native(self.make_dataset(), tmp_path)
+        assert json.loads((tmp_path / "manifest.json").read_text())["format_version"] == 2
+        for meta_path in sorted(tmp_path.rglob("meta.json")):
+            meta = json.loads(meta_path.read_text())
+            assert meta["format_version"] == 2
+            assert set(meta["oracle"]) == {"distractor_boxes"}
+            assert not {"target_masks", "rtms", "dynamic_flags"} & set(meta)
+
+    def test_v1_dataset_still_reads(self, tmp_path):
+        ds = self.make_dataset()
+        write_native(ds, tmp_path / "v2")
+        write_native(ds, tmp_path / "v1")
+        # rewrite as format 1, which also held target masks and the box motion
+        generated = {t.id: t for t in ds}
+        for meta_path in sorted((tmp_path / "v1").rglob("meta.json")):
+            meta = json.loads(meta_path.read_text())
+            t = generated[meta["id"]]
+            motions = box_motions(t)
+            meta["format_version"] = 1
+            meta["oracle"].update(
+                target_masks=[mask.astype(int).tolist() for mask in t.oracle.target_masks],
+                rtms=[[float(v) for v in m.as_vector()] for m in motions],
+                dynamic_flags=[is_dynamic(m) for m in motions],
+            )
+            meta_path.write_text(json.dumps(meta) + "\n")
+        manifest_path = tmp_path / "v1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+
+        v1, v2 = read_native(tmp_path / "v1"), read_native(tmp_path / "v2")
+        assert [t.id for t in v1] == [t.id for t in v2] == [t.id for t in ds]
+        for a, b, gen in zip(v1, v2, ds):
+            for ba, bb, bg in zip(a.gt_boxes, b.gt_boxes, gen.gt_boxes):
+                np.testing.assert_array_equal(ba.as_vector(), bb.as_vector())
+                np.testing.assert_array_equal(ba.as_vector(), bg.as_vector())
+            for fa, fb, fg in zip(a.frames, b.frames, gen.frames):
+                np.testing.assert_array_equal(fa.points, fb.points)
+                np.testing.assert_array_equal(fa.points, fg.points.astype(np.float32).astype(np.float64))
+            assert len(a.oracle.distractor_boxes) == len(gen.oracle.distractor_boxes) == 1
+            for ta, tb in zip(a.oracle.distractor_boxes, b.oracle.distractor_boxes):
+                for ba, bb in zip(ta, tb):
+                    np.testing.assert_array_equal(ba.as_vector(), bb.as_vector())
+            assert a.oracle.target_masks == b.oracle.target_masks == ()
 
     def test_boxes_survive_exactly(self, tmp_path):
         ds = self.make_dataset()
@@ -256,6 +291,14 @@ class TestNativeFormat:
         with pytest.raises(FileNotFoundError):
             read_native(tmp_path)
 
+    def test_truncated_manifest_names_file(self, tmp_path):
+        write_native(self.make_dataset(), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        text = manifest_path.read_text()
+        manifest_path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest_path))}: "):
+            read_native(tmp_path)
+
     def test_manifest_version_checked(self, tmp_path):
         write_native(self.make_dataset(), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -283,6 +326,17 @@ class TestNativeFormat:
 
         path = self.rewrite_meta(tmp_path, drop_box)
         with pytest.raises(ValueError, match=rf"^{path}: .*frames and boxes"):
+            read_native(tmp_path)
+
+    @pytest.mark.parametrize("key", ["boxes", "timestamps"])
+    def test_missing_key_names_file(self, tmp_path, key):
+        def drop_key(text):
+            meta = json.loads(text)
+            del meta[key]
+            return json.dumps(meta)
+
+        path = self.rewrite_meta(tmp_path, drop_key)
+        with pytest.raises(ValueError, match=rf"^{path}: missing key '{key}'"):
             read_native(tmp_path)
 
     def test_zero_size_box_names_file(self, tmp_path):
@@ -406,6 +460,16 @@ class TestKittiIngestion:
         seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3))})
         (seq_dir / "calib" / "0000.txt").unlink()
         with pytest.raises(FileNotFoundError):
+            load_kitti_tracklets(seq_dir)
+
+    def test_non_numeric_calib_names_file(self, tmp_path):
+        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
+        seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3))})
+        path = seq_dir / "calib" / "0000.txt"
+        text = path.read_text()
+        assert "Tr_velo_to_cam: 0 " in text
+        path.write_text(text.replace("Tr_velo_to_cam: 0 ", "Tr_velo_to_cam: x "))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: could not convert string to float"):
             load_kitti_tracklets(seq_dir)
 
     def test_reflectance_dropped(self, tmp_path):
