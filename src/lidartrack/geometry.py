@@ -24,6 +24,7 @@ dataclasses are copied and frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,12 +71,20 @@ def wrap_angle(a):
         ``a`` reduced modulo 2*pi into ``(-pi, pi]``; in particular
         ``wrap_angle(-pi) == pi``.
     """
+    if isinstance(a, (float, int)):
+        # Python's float modulo takes the divisor's sign, as np.mod does, so
+        # this scalar form is bit-identical to the array form below
+        a = float(a)
+        if not math.isfinite(a):
+            raise ValueError("wrap_angle requires finite input")
+        out = (a + math.pi) % (2.0 * math.pi) - math.pi
+        return math.pi if out == -math.pi else out
     arr = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_angle requires finite input")
     out = np.mod(arr + np.pi, 2.0 * np.pi) - np.pi
     out = np.where(out == -np.pi, np.pi, out)
-    if np.isscalar(a) or np.ndim(a) == 0:
+    if np.ndim(a) == 0:
         return float(out)
     return out
 
@@ -86,12 +95,12 @@ def yaw_matrix(yaw: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _frozen_vector(v, n: int, name: str) -> np.ndarray:
-    arr = np.array(v, dtype=np.float64).reshape(n)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    arr.flags.writeable = False
-    return arr
+def _invalid_box(center: np.ndarray, size: np.ndarray) -> ValueError:
+    """The error naming the first bad part of a box that failed its check."""
+    for name, arr in (("center", center), ("size", size)):
+        if not np.all(np.isfinite(arr)):
+            return ValueError(f"{name} must be finite, got {arr}")
+    return ValueError(f"size components must be positive, got {size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +124,15 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen_vector(self.center, 3, "center"))
-        size = _frozen_vector(self.size, 3, "size")
-        if not np.all(size > 0):
-            raise ValueError(f"size components must be positive, got {size}")
+        center = np.array(self.center, dtype=np.float64).reshape(3)
+        size = np.array(self.size, dtype=np.float64).reshape(3)
+        # one pass over the six floats; wrap_angle checks the yaw
+        values = center.tolist() + size.tolist()
+        if not (all(map(math.isfinite, values)) and min(values[3:]) > 0):
+            raise _invalid_box(center, size)
+        center.flags.writeable = False
+        size.flags.writeable = False
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
 
@@ -160,7 +174,7 @@ class RTM:
     def __post_init__(self):
         for name in ("dx", "dy", "dz"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "dtheta", wrap_angle(float(self.dtheta)))

@@ -8,12 +8,13 @@ topological order and accumulates gradients into every Tensor that
 requires them.
 
 The op set is deliberately small: affine layers (plain, and joined with a
-per-block pooled row), ReLU, row-wise max pooling, column slice,
-elementwise add/scale, and multiplication by a constant matrix.  That is
-enough to express every network in this package while keeping each
-backward rule a few lines of numpy.  New ops can be added from outside by
-constructing a Tensor with explicit parents and backward_fn, which the
-gradient-checker tests use to inject a deliberately broken rule.
+per-block pooled row), ReLU, max pooling over row blocks of any sizes,
+column slice, elementwise add/scale, and multiplication by a constant
+matrix (one for all rows, or one per row).  That is enough to express
+every network in this package while keeping each backward rule a few
+lines of numpy.  New ops can be added from outside by constructing a
+Tensor with explicit parents and backward_fn, which the gradient-checker
+tests use to inject a deliberately broken rule.
 
 Gradients for ReLU at exactly zero and for ties in max pooling use fixed
 conventions: zero subgradient, and the lowest row index wins.  Work that
@@ -29,6 +30,7 @@ Inference runs in this mode; values are the same as with recording on.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -219,31 +221,39 @@ def relu(x: Tensor) -> Tensor:
     )
 
 
-def segment_maxpool(x: Tensor, segments: int) -> Tensor:
-    """Per-column max over each of `segments` equal consecutive row blocks."""
+def segment_maxpool(x: Tensor, counts: Sequence[int]) -> Tensor:
+    """Per-column max over consecutive row blocks of the given row counts.
+
+    Block i holds ``counts[i]`` rows; the result has one row per block.
+    """
     _as2d(x, "segment_maxpool")
     rows, cols = x.data.shape
-    if rows == 0:
-        raise ValueError("segment_maxpool on an empty input")
-    if segments < 1 or rows % segments != 0:
-        raise ValueError(f"{rows} rows do not split into {segments} equal segments")
-    n = rows // segments
-    blocks = x.data.reshape(segments, n, cols)
-    # max propagates NaN, and argmax picks the first NaN, so both agree
-    out = blocks.max(axis=1)
+    counts = [int(n) for n in counts]
+    if not counts or min(counts) < 1:
+        raise ValueError(f"segment_maxpool needs positive row counts, got {counts[:8]}")
+    bounds = list(accumulate(counts, initial=0))
+    if bounds[-1] != rows:
+        raise ValueError(f"row counts sum to {bounds[-1]}, but the input has {rows} rows")
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    out = np.empty((len(counts), cols), dtype=x.data.dtype)
+    for i, (lo, hi) in enumerate(spans):
+        # max propagates NaN, and argmax picks the first NaN, so both agree
+        x.data[lo:hi].max(axis=0, out=out[i])
 
     def bw(g: np.ndarray):
-        arg = blocks.argmax(axis=1)  # ties resolve to the lowest row
-        gx = np.zeros_like(blocks)
-        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
-        return (gx.reshape(rows, cols),)
+        # ties resolve to the lowest row of each block
+        arg = np.array([x.data[lo:hi].argmax(axis=0) + lo for lo, hi in spans])
+        gx = np.zeros_like(x.data)
+        gx[arg, np.arange(cols)] = g
+        return (gx,)
 
     return Tensor(out, parents=(x,), backward_fn=bw, op="segment_maxpool")
 
 
 def maxpool_points(x: Tensor) -> Tensor:
     """Column-wise max over all rows, keeping a (1, C) shape."""
-    return segment_maxpool(x, 1)
+    _as2d(x, "maxpool_points")
+    return segment_maxpool(x, [x.data.shape[0]])
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -280,9 +290,22 @@ def add_const(x: Tensor, c) -> Tensor:
 
 
 def matmul_const(x: Tensor, m: np.ndarray) -> Tensor:
-    """Row vectors through a constant matrix: x @ m.T (m maps in -> out)."""
+    """Row vectors through constant matrices: ``x @ m.T`` (m maps in -> out).
+
+    ``m`` is one (out, in) matrix for every row, or a (rows, out, in) stack
+    holding one matrix per row.
+    """
     _as2d(x, "matmul_const")
     m = np.asarray(m, dtype=x.data.dtype)
-    if m.ndim != 2 or m.shape[1] != x.data.shape[1]:
-        raise ValueError(f"matmul_const shape mismatch: x {x.data.shape} vs m {m.shape}")
-    return Tensor(x.data @ m.T, parents=(x,), backward_fn=lambda g: (g @ m,), op="matmul_const")
+    rows, cols = x.data.shape
+    if m.ndim == 2 and m.shape[1] == cols:
+        return Tensor(x.data @ m.T, parents=(x,), backward_fn=lambda g: (g @ m,), op="matmul_const")
+    if m.ndim == 3 and m.shape[0] == rows and m.shape[2] == cols:
+        out = np.matmul(x.data[:, None, :], m.transpose(0, 2, 1))[:, 0, :]
+        return Tensor(
+            out,
+            parents=(x,),
+            backward_fn=lambda g: (np.matmul(g[:, None, :], m)[:, 0, :],),
+            op="matmul_const",
+        )
+    raise ValueError(f"matmul_const shape mismatch: x {x.data.shape} vs m {m.shape}")

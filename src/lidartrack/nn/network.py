@@ -2,11 +2,12 @@
 
 The model owns seven small MLPs.  Segmentation runs a per-point trunk and
 classifies each point from its local feature joined with the pooled global
-feature.  The two regression stages each run a per-point encoder, pool to a
-single embedding, and decode with linear heads.  All forwards accept plain
-arrays and lift them into the autograd graph, so the same code path serves
-training and inference; inference runs it under ``no_grad()``, which
-records no graph.
+feature.  The two regression stages each run a per-point encoder, pool each
+pair's points to one embedding, and decode with linear heads; training runs
+a whole batch of pairs through one graph, inference one pair.  All forwards
+accept plain arrays and lift them into the autograd graph, so the same code
+path serves training and inference; inference runs it under ``no_grad()``,
+which records no graph.
 
 Checkpoints are a single binary file: magic, format version, a JSON header
 (config echo plus caller metadata), then raw little-endian float32
@@ -27,7 +28,6 @@ import numpy as np
 from lidartrack.nn.autograd import (
     Tensor,
     linear,
-    maxpool_points,
     pooled_linear,
     relu,
     segment_maxpool,
@@ -156,6 +156,11 @@ class Model:
         return Tensor(np.asarray(array, dtype=self.config.dtype))
 
 
+def _pair_sizes(x: Tensor, sizes) -> list[int]:
+    """Rows per pair: all rows are one pair when ``sizes`` is None."""
+    return [x.data.shape[0]] if sizes is None else list(sizes)
+
+
 def segment_forward_batched(features, model: Model, batch: int) -> Tensor:
     """Per-point two-class logits for `batch` stacked equal-size samples.
 
@@ -167,9 +172,12 @@ def segment_forward_batched(features, model: Model, batch: int) -> Tensor:
     x = model.lift(features)
     if x.data.ndim != 2 or x.data.shape[1] != SEG_IN:
         raise ValueError(f"expected (rows, {SEG_IN}) features, got {x.data.shape}")
+    if batch < 1 or x.data.shape[0] % batch != 0:
+        raise ValueError(f"{x.data.shape[0]} rows do not split into {batch} equal samples")
     local = model.seg_trunk(x)
     (w, b), *rest = model.seg_head.layers
-    hidden = relu(pooled_linear(local, segment_maxpool(local, batch), w, b))
+    pooled = segment_maxpool(local, [x.data.shape[0] // batch] * batch)
+    hidden = relu(pooled_linear(local, pooled, w, b))
     return mlp_forward(hidden, rest)
 
 
@@ -177,16 +185,18 @@ def segment_forward(features, model: Model) -> Tensor:
     return segment_forward_batched(features, model, batch=1)
 
 
-def stage1_forward(points, model: Model) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode segmented target points (n, 4) into motion outputs.
+def stage1_forward(points, model: Model, sizes=None) -> tuple[Tensor, Tensor, Tensor]:
+    """Encode segmented target points into motion outputs, one row per pair.
 
-    Returns (motion 4-vector, dynamic/static logits, previous-box
-    refinement 4-vector), each a (1, k) graph node.
+    `points` holds the pairs' target points stacked, (sum(sizes), 4), and
+    `sizes` their row counts; None means one pair.  Returns (motion
+    4-vectors, dynamic/static logits, previous-box refinement 4-vectors),
+    each a (pairs, k) graph node.
     """
     x = model.lift(points)
     if x.data.ndim != 2 or x.data.shape[1] != STAGE1_IN:
         raise ValueError(f"expected (n, {STAGE1_IN}) points, got {x.data.shape}")
-    emb = maxpool_points(model.stage1_encoder(x))
+    emb = segment_maxpool(model.stage1_encoder(x), _pair_sizes(x, sizes))
     motion = model.motion_head(emb)
     rtm4 = slice_cols(motion, 0, RTM_DIM)
     logits = slice_cols(motion, RTM_DIM, MOTION_OUT)
@@ -194,12 +204,16 @@ def stage1_forward(points, model: Model) -> tuple[Tensor, Tensor, Tensor]:
     return rtm4, logits, refine4
 
 
-def stage2_forward(points, model: Model) -> Tensor:
-    """Refinement 4-vector (1, 4) from merged points (n, 3) in the coarse frame."""
+def stage2_forward(points, model: Model, sizes=None) -> Tensor:
+    """Refinement 4-vectors (pairs, 4) from merged points in each coarse frame.
+
+    `points` holds the pairs' merged points stacked, (sum(sizes), 3), and
+    `sizes` their row counts; None means one pair.
+    """
     x = model.lift(points)
     if x.data.ndim != 2 or x.data.shape[1] != STAGE2_IN:
         raise ValueError(f"expected (n, {STAGE2_IN}) points, got {x.data.shape}")
-    return model.stage2_head(maxpool_points(model.stage2_trunk(x)))
+    return model.stage2_head(segment_maxpool(model.stage2_trunk(x), _pair_sizes(x, sizes)))
 
 
 def _header_dict(model: Model, extra: dict | None) -> dict:

@@ -23,6 +23,11 @@ the segmentation and motion classifiers are still learning.  Inference takes
 the predicted mask and the predicted branch instead, and its public entry
 points (`track_frame`, `segment_target`, `stage1_predict`, `stage2_refine`)
 run under ``no_grad()``: tracking records no autograd graph.
+
+Each stage takes a batch of pairs: the encoders run over all pairs' points
+at once and pool per pair.  Training builds three graphs per batch
+(segmentation, stage one, stage two) and inference runs the same stage code
+with one pair.
 """
 
 from __future__ import annotations
@@ -93,6 +98,7 @@ __all__ = [
     "track_sequence",
     "make_oracle_overrides",
     "prepare_pair_example",
+    "forward_batch",
     "forward_pair",
     "total_loss",
     "scheduled_lr",
@@ -200,48 +206,68 @@ def _dynamic_from_logits(logits: np.ndarray) -> bool:
     return int(np.argmax(logits)) == 1
 
 
-def _yaw_block(yaw: float) -> np.ndarray:
-    """4x4 map taking a canonical (dx, dy, dz, dyaw) vector to world axes."""
-    m = np.eye(4)
-    m[:3, :3] = yaw_matrix(yaw)
+def _yaw_blocks(boxes: Sequence[Box3D]) -> np.ndarray:
+    """Per box, the 4x4 map taking a canonical (dx, dy, dz, dyaw) vector to
+    world axes, stacked (len(boxes), 4, 4)."""
+    m = np.zeros((len(boxes), 4, 4))
+    for block, box in zip(m, boxes):
+        block[:3, :3] = yaw_matrix(box.yaw)
+    m[:, 3, 3] = 1.0
     return m
 
 
 @dataclass(frozen=True)
 class _Stage1Graph:
-    """Stage one's result, the branch it took, and its world-frame graph nodes."""
+    """Stage one's results and branches, one per pair, and its world-frame
+    graph nodes, one row per pair."""
 
-    output: Stage1Output
-    dynamic: bool
+    outputs: tuple[Stage1Output, ...]
+    dynamic: tuple[bool, ...]
     rtm4: Tensor
     logits: Tensor
     refine4: Tensor
 
 
 def _stage1(
-    canon_xyzt: np.ndarray, b_prev: Box3D, model: Model, dynamic: Optional[bool]
+    canon_xyzt: np.ndarray,
+    sizes: Optional[Sequence[int]],
+    b_prevs: Sequence[Box3D],
+    model: Model,
+    dynamic: Optional[Sequence[bool]],
 ) -> _Stage1Graph:
-    """Run stage one on canonical, network-scaled target points (n, 4).
+    """Run stage one on the pairs' canonical, network-scaled target points.
 
-    Both regressed 4-vectors are rotated from the previous-box frame to world
+    `canon_xyzt` stacks each pair's points (n_i, 4), `sizes` holds the n_i
+    (None for one pair) and `b_prevs` each pair's previous box.  Both
+    regressed 4-vectors are rotated from each previous-box frame to world
     axes.  The static/dynamic branch is ``dynamic`` when given (training
-    follows the label) and the argmax of the motion logits otherwise.
+    follows the labels) and the argmax of the motion logits otherwise.
     """
-    rtm4_c, logits, refine4_c = stage1_forward(canon_xyzt, model)
-    block = _yaw_block(b_prev.yaw)
-    rtm4 = matmul_const(rtm4_c, block)
-    refine4 = matmul_const(refine4_c, block)
+    rtm4_c, logits, refine4_c = stage1_forward(canon_xyzt, model, sizes)
+    blocks = _yaw_blocks(b_prevs)
+    rtm4 = matmul_const(rtm4_c, blocks)
+    refine4 = matmul_const(refine4_c, blocks)
     if dynamic is None:
-        dynamic = _dynamic_from_logits(logits.data[0])
-    rtm = RTM(*rtm4.data[0])
-    refined = apply_rtm(b_prev, RTM(*refine4.data[0]))
-    output = Stage1Output(
-        rtm=rtm,
-        motion_logits=logits.data[0].astype(np.float64),
-        refined_prev_box=refined,
-        coarse_box=apply_rtm(refined, rtm) if dynamic else refined,
+        dynamic = [_dynamic_from_logits(row) for row in logits.data]
+    outputs = []
+    for b_prev, dyn, rtm_row, refine_row, logit_row in zip(
+        b_prevs, dynamic, rtm4.data, refine4.data, logits.data
+    ):
+        rtm = RTM(*rtm_row)
+        refined = apply_rtm(b_prev, RTM(*refine_row))
+        outputs.append(Stage1Output(
+            rtm=rtm,
+            motion_logits=logit_row.astype(np.float64),
+            refined_prev_box=refined,
+            coarse_box=apply_rtm(refined, rtm) if dyn else refined,
+        ))
+    return _Stage1Graph(
+        outputs=tuple(outputs),
+        dynamic=tuple(bool(d) for d in dynamic),
+        rtm4=rtm4,
+        logits=logits,
+        refine4=refine4,
     )
-    return _Stage1Graph(output=output, dynamic=dynamic, rtm4=rtm4, logits=logits, refine4=refine4)
 
 
 def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
@@ -253,7 +279,7 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
     canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
     canon *= COORD_SCALE
     with no_grad():
-        return _stage1(canon, b_prev, model, dynamic=None).output
+        return _stage1(canon, None, [b_prev], model, dynamic=None).outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +288,27 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
 
 
 def _stage2(
-    prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output, model: Model, dynamic: bool
+    targets: Sequence[tuple[np.ndarray, np.ndarray]],
+    s1: Sequence[Stage1Output],
+    model: Model,
+    dynamic: Sequence[bool],
 ) -> Tensor:
-    """World-frame residual (1, 4) of the coarse box from stage one's output.
+    """World-frame residuals (pairs, 4) of the coarse boxes from stage one.
 
-    Stage one's motion moves the previous target points onto the current
-    ones on the ``dynamic`` branch, and the merged points are expressed in
+    `targets` holds each pair's (previous, current) target xyz.  Stage
+    one's motion moves the previous target points onto the current ones on
+    the ``dynamic`` branch, and each pair's merged points are expressed in
     its coarse-box frame.
     """
-    merged = motion_assisted_merge(
-        prev_xyz, cur_xyz, s1.rtm, prev_box=s1.refined_prev_box, dynamic=dynamic
-    )
-    out4 = stage2_forward(world_to_canonical(merged, s1.coarse_box) * COORD_SCALE, model)
-    return matmul_const(out4, _yaw_block(s1.coarse_box.yaw))
+    canon = [
+        world_to_canonical(
+            motion_assisted_merge(prev_xyz, cur_xyz, out.rtm, prev_box=out.refined_prev_box, dynamic=dyn),
+            out.coarse_box,
+        ) * COORD_SCALE
+        for (prev_xyz, cur_xyz), out, dyn in zip(targets, s1, dynamic)
+    ]
+    out4 = stage2_forward(np.vstack(canon), model, [len(c) for c in canon])
+    return matmul_const(out4, _yaw_blocks([out.coarse_box for out in s1]))
 
 
 def stage2_refine(
@@ -284,7 +318,7 @@ def stage2_refine(
     if len(prev_xyz) + len(cur_xyz) == 0:
         return s1.coarse_box
     with no_grad():
-        residual = _stage2(prev_xyz, cur_xyz, s1, model, s1.dynamic)
+        residual = _stage2([(prev_xyz, cur_xyz)], [s1], model, [s1.dynamic])
     return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
 
 
@@ -513,10 +547,14 @@ class PairExample:
 
 @dataclass
 class PairForward:
-    """Graph nodes and aligned targets for one pair's regression terms."""
+    """Graph nodes and aligned targets of the regression terms, one row per pair.
+
+    ``motion_label`` holds one label per row (a plain int for one row);
+    ``stage1`` holds each pair's stage-one output.
+    """
 
     motion_logits: Tensor
-    motion_label: int
+    motion_label: np.ndarray | int
     rtm4: Tensor
     rtm_target: np.ndarray
     refine4: Tensor
@@ -525,22 +563,36 @@ class PairForward:
     box1_target: np.ndarray
     box2_4: Tensor
     box2_target: np.ndarray
-    refined_prev_box: Optional[Box3D] = None
-    coarse_box: Optional[Box3D] = None
+    stage1: tuple[Stage1Output, ...] = ()
+
+    @property
+    def rows(self) -> int:
+        return self.rtm4.data.shape[0]
+
+
+def _target_masks(pair: TrainingPair) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's points inside its own box: they depend on the pair only."""
+    return (
+        points_in_box(pair.prev_frame.points, pair.prev_box),
+        points_in_box(pair.cur_frame.points, pair.cur_box),
+    )
 
 
 def prepare_pair_example(
-    pair: TrainingPair, cfg: TrainConfig, rng: np.random.Generator
+    pair: TrainingPair,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    target_masks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Optional[PairExample]:
     """Augment, perturb, crop, and label one training pair.
 
-    Returns None when a crop region is empty, so callers simply drop the
-    pair for this epoch.
+    ``target_masks`` are the pair's raw per-frame target masks, when the
+    caller has them already.  Returns None when a crop region is empty, so
+    callers simply drop the pair for this epoch.
     """
     prev_pts = pair.prev_frame.points
     cur_pts = pair.cur_frame.points
-    prev_target = points_in_box(prev_pts, pair.prev_box)
-    cur_target = points_in_box(cur_pts, pair.cur_box)
+    prev_target, cur_target = target_masks if target_masks is not None else _target_masks(pair)
     aug_prev, gt_prev, aug_cur, gt_cur, _ = motion_augment(
         prev_pts[prev_target], pair.prev_box, cur_pts[cur_target], pair.cur_box, cfg.augment, rng
     )
@@ -579,73 +631,94 @@ def prepare_pair_example(
     )
 
 
-def _aligned_vec4(values3, yaw_target: float, pred_yaw: float) -> np.ndarray:
-    """Regression target whose yaw sits within pi of the prediction.
+def _box4(boxes: Sequence[Box3D]) -> np.ndarray:
+    """Rows ``(cx, cy, cz, yaw)``, one per box."""
+    return np.array([[*b.center, b.yaw] for b in boxes])
+
+
+def _aligned_vec4(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Regression targets (rows, 4) whose yaw sits within pi of the prediction.
 
     Shifting the target by whole turns instead of wrapping the difference
     keeps the loss surface continuous around the prediction.
     """
-    v = np.empty((1, 4))
-    v[0, :3] = values3
-    v[0, 3] = pred_yaw + wrap_angle(yaw_target - pred_yaw)
-    return v
+    out = np.array(target, dtype=np.float64)
+    out[:, 3] = pred[:, 3] + wrap_angle(target[:, 3] - pred[:, 3])
+    return out
+
+
+def forward_batch(
+    examples: Sequence[PairExample], model: Model, margin: float = DEFAULT_MARGIN
+) -> Optional[PairForward]:
+    """Build one stage-one and one stage-two graph over prepared pairs.
+
+    Both stages run over all pairs' points at once and pool per pair, so
+    every returned node holds one row per surviving pair.  Training
+    teacher-forces the structure the losses cannot supervise directly: the
+    stage inputs use the ground-truth target mask and the static/dynamic
+    branch follows the ground-truth motion label, while the motion values
+    themselves stay predicted.  Inference runs the same stage code with the
+    predicted mask and predicted branch.  A pair whose mask is empty even
+    after the prior fallback is dropped; returns None when none survive.
+    """
+    kept, masks = [], []
+    for ex in examples:
+        try:
+            mask, _ = _with_prior_fallback(ex.seg_labels.astype(bool), ex.st, ex.b_prev, margin)
+        except DegenerateTargetError:
+            continue
+        kept.append(ex)
+        masks.append(mask)
+    if not kept:
+        return None
+    labels = np.array([ex.motion_label for ex in kept], dtype=np.int64)
+    targets = [ex.features[mask, :4] for ex, mask in zip(kept, masks)]
+    b_prevs = [ex.b_prev for ex in kept]
+    g = _stage1(np.vstack(targets), [len(t) for t in targets], b_prevs, model, dynamic=labels == 1)
+
+    # static pairs take no motion: their rows of rtm4 pass through zeros
+    moving = np.where(labels[:, None, None] == 1, np.eye(4), 0.0)
+    box1_4 = add_const(add(g.refine4, matmul_const(g.rtm4, moving)), _box4(b_prevs))
+
+    # the merge geometry is driven by predicted motion values; only the
+    # stage-two output vectors carry gradient here
+    split = [split_by_time(ex.st, mask) for ex, mask in zip(kept, masks)]
+    residual = _stage2(split, g.outputs, model, g.dynamic)
+    box2_4 = add_const(residual, _box4([out.coarse_box for out in g.outputs]))
+
+    gt_cur = _box4([ex.gt_cur for ex in kept])
+    return PairForward(
+        motion_logits=g.logits,
+        motion_label=labels,
+        rtm4=g.rtm4,
+        rtm_target=_aligned_vec4(np.array([ex.rtm_target.as_vector() for ex in kept]), g.rtm4.data),
+        refine4=g.refine4,
+        refine_target=_aligned_vec4(np.array([ex.refine_target.as_vector() for ex in kept]), g.refine4.data),
+        box1_4=box1_4,
+        box1_target=_aligned_vec4(gt_cur, box1_4.data),
+        box2_4=box2_4,
+        box2_target=_aligned_vec4(gt_cur, box2_4.data),
+        stage1=g.outputs,
+    )
 
 
 def forward_pair(
     example: PairExample, model: Model, margin: float = DEFAULT_MARGIN
 ) -> Optional[PairForward]:
-    """Build the stage-one and stage-two graphs for one prepared pair.
-
-    Training teacher-forces the structure the losses cannot supervise
-    directly: the stage inputs use the ground-truth target mask and the
-    static/dynamic branch follows the ground-truth motion label, while the
-    motion values themselves stay predicted.  Inference runs the same stage
-    code with the predicted mask and predicted branch.  Returns None when no
-    mask survives even after the prior fallback.
-    """
-    b_prev = example.b_prev
-    try:
-        mask, _ = _with_prior_fallback(example.seg_labels.astype(bool), example.st, b_prev, margin)
-    except DegenerateTargetError:
-        return None
-    g = _stage1(example.features[mask, :4], b_prev, model, dynamic=bool(example.motion_label))
-
-    base4 = np.array([[*b_prev.center, b_prev.yaw]])
-    shift = add(g.refine4, g.rtm4) if g.dynamic else g.refine4
-    box1_4 = add_const(shift, base4)
-
-    # the merge geometry is driven by predicted motion values; only the
-    # stage-two output vector carries gradient here
-    prev_xyz, cur_xyz = split_by_time(example.st, mask)
-    coarse = g.output.coarse_box
-    coarse4 = np.array([[*coarse.center, coarse.yaw]])
-    box2_4 = add_const(_stage2(prev_xyz, cur_xyz, g.output, model, g.dynamic), coarse4)
-
-    rtm_t = example.rtm_target.as_vector()
-    refine_t = example.refine_target.as_vector()
-    return PairForward(
-        motion_logits=g.logits,
-        motion_label=example.motion_label,
-        rtm4=g.rtm4,
-        rtm_target=_aligned_vec4(rtm_t[:3], rtm_t[3], g.rtm4.data[0, 3]),
-        refine4=g.refine4,
-        refine_target=_aligned_vec4(refine_t[:3], refine_t[3], g.refine4.data[0, 3]),
-        box1_4=box1_4,
-        box1_target=_aligned_vec4(example.gt_cur.center, example.gt_cur.yaw, box1_4.data[0, 3]),
-        box2_4=box2_4,
-        box2_target=_aligned_vec4(example.gt_cur.center, example.gt_cur.yaw, box2_4.data[0, 3]),
-        refined_prev_box=g.output.refined_prev_box,
-        coarse_box=coarse,
-    )
+    """:func:`forward_batch` of one pair; None when its mask is empty."""
+    return forward_batch([example], model, margin)
 
 
-def _mean_of(terms: list[Tensor]) -> Optional[Tensor]:
+def _row_mean(terms: list[tuple[Tensor, int]]) -> Optional[Tensor]:
+    """Mean over all rows of per-record row means, each weighted by its rows."""
     if not terms:
         return None
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(acc, t)
-    return scale(acc, 1.0 / len(terms))
+    rows = sum(n for _, n in terms)
+    acc = None
+    for term, n in terms:
+        part = scale(term, n / rows)
+        acc = part if acc is None else add(acc, part)
+    return acc
 
 
 def total_loss(
@@ -658,17 +731,21 @@ def total_loss(
 ) -> tuple[Tensor, dict]:
     """Weighted sum of the classification and regression terms.
 
-    Returns the scalar loss node and a float breakdown whose entries are the
-    unweighted per-term means; the weighted sum reproduces ``total`` exactly.
+    Each pair term is the mean over all rows of all records, so B one-row
+    records give the same loss as one B-row record.  Returns the scalar
+    loss node and a float breakdown whose entries are the unweighted
+    per-term means; the weighted sum reproduces ``total`` exactly.
     """
     cls_target = cross_entropy(seg_logits, seg_labels)
-    cls_motion = _mean_of(
-        [cross_entropy(p.motion_logits, np.array([p.motion_label])) for p in pairs]
-    )
-    reg_motion = _mean_of([huber(p.rtm4, p.rtm_target) for p in pairs])
-    reg_refine = _mean_of([huber(p.refine4, p.refine_target) for p in pairs])
-    reg_stage1 = _mean_of([huber(p.box1_4, p.box1_target) for p in pairs])
-    reg_stage2 = _mean_of([huber(p.box2_4, p.box2_target) for p in pairs])
+
+    def mean(term) -> Optional[Tensor]:
+        return _row_mean([(term(p), p.rows) for p in pairs])
+
+    cls_motion = mean(lambda p: cross_entropy(p.motion_logits, np.asarray(p.motion_label).reshape(-1)))
+    reg_motion = mean(lambda p: huber(p.rtm4, p.rtm_target))
+    reg_refine = mean(lambda p: huber(p.refine4, p.refine_target))
+    reg_stage1 = mean(lambda p: huber(p.box1_4, p.box1_target))
+    reg_stage2 = mean(lambda p: huber(p.box2_4, p.box2_target))
 
     total = scale(cls_target, lambda_cls_target)
     if cls_motion is not None:
@@ -694,28 +771,43 @@ def total_loss(
 def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list[dict]:
     """Optimize the model in place; returns one metrics row per epoch.
 
-    Examples are re-augmented every epoch unless ``resample_each_epoch`` is
-    off, in which case the same prepared examples are reused so a small set
-    can be overfit exactly.  Every random draw derives from ``cfg.seed``.
+    Each batch builds three graphs: batched segmentation, then stage one and
+    stage two over all the batch's pairs (:func:`forward_batch`), then the
+    loss.  Examples are re-augmented every epoch unless
+    ``resample_each_epoch`` is off, in which case the same prepared examples
+    are reused so a small set can be overfit exactly; each pair's raw target
+    masks are computed once.  Every random draw derives from ``cfg.seed``.
+    A row carries the epoch's loss terms and its wall-time split in seconds
+    (``prepare_s``, ``forward_s``, ``backward_s``, ``step_s``) with
+    ``pairs_per_s`` over the whole epoch.
     """
     if not pairs:
         raise ValueError("no training pairs")
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
+    target_masks: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     prepared: Optional[list[Optional[PairExample]]] = None
     metrics: list[dict] = []
 
     for epoch in range(cfg.start_epoch, cfg.epochs):
+        epoch_start = time.perf_counter()
+        phases = {"prepare_s": 0.0, "forward_s": 0.0, "backward_s": 0.0, "step_s": 0.0}
         lr = scheduled_lr(cfg, epoch)
         opt.lr = lr
         if prepared is None or cfg.resample_each_epoch:
+            if target_masks is None:
+                target_masks = [_target_masks(pair) for pair in pairs]
             prep_key = epoch if cfg.resample_each_epoch else 0
             prepared = [
                 prepare_pair_example(
-                    pair, cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, prep_key, 1, i]))
+                    pair,
+                    cfg,
+                    np.random.default_rng(np.random.SeedSequence([cfg.seed, prep_key, 1, i])),
+                    target_masks[i],
                 )
                 for i, pair in enumerate(pairs)
             ]
+            phases["prepare_s"] = time.perf_counter() - epoch_start
         order = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, 0])).permutation(
             len(pairs)
         )
@@ -730,16 +822,13 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
                 continue
             batch_id = f"epoch {epoch}, batch {start // cfg.batch_size}"
             try:
+                t0 = time.perf_counter()
                 feats = np.vstack([ex.features for ex in examples])
                 labels = np.concatenate([ex.seg_labels for ex in examples])
                 logits = segment_forward_batched(feats, model, batch=len(examples))
-                fwds = []
-                for ex in examples:
-                    fwd = forward_pair(ex, model, cfg.margin)
-                    if fwd is None:
-                        n_skipped += 1
-                    else:
-                        fwds.append(fwd)
+                fwd = forward_batch(examples, model, cfg.margin)
+                fwds = [] if fwd is None else [fwd]
+                n_skipped += len(examples) - sum(f.rows for f in fwds)
                 loss, terms = total_loss(
                     logits,
                     labels,
@@ -748,11 +837,17 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
                     lambda_cls_motion=cfg.lambda_cls_motion,
                     lambda_reg=cfg.lambda_reg,
                 )
+                t1 = time.perf_counter()
                 zero_grad(params)
                 backward(loss)
+                t2 = time.perf_counter()
                 opt.step()
+                t3 = time.perf_counter()
             except FloatingPointError as err:
                 raise FloatingPointError(f"training aborted at {batch_id}: {err}") from err
+            phases["forward_s"] += t1 - t0
+            phases["backward_s"] += t2 - t1
+            phases["step_s"] += t3 - t2
             for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + value
             n_batches += 1
@@ -762,5 +857,7 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
         row["loss"] = sums.get("total", 0.0) / denom
         for key in ("cls_target", "cls_motion", "reg_motion", "reg_refine_prev", "reg_stage1", "reg_stage2"):
             row[key] = sums.get(key, 0.0) / denom
+        row.update(phases)
+        row["pairs_per_s"] = len(pairs) / (time.perf_counter() - epoch_start)
         metrics.append(row)
     return metrics

@@ -100,7 +100,7 @@ class TestMaxpool:
             [0.0, 5.0], [3.0, 5.0], [3.0, 1.0],   # block 0: column 0 ties at rows 1 and 2
             [7.0, 2.0], [7.0, 2.0], [7.0, 0.0],   # block 1: both columns tie from row 3
         ]))
-        y = ag.segment_maxpool(x, 2)
+        y = ag.segment_maxpool(x, [3, 3])
         np.testing.assert_array_equal(y.data, [[3.0, 5.0], [7.0, 2.0]])
         zero_grad([x])
         backward(huber(y, np.zeros((2, 2))))
@@ -112,7 +112,7 @@ class TestMaxpool:
 
     def test_nan_pools_to_nan(self):
         x = param(np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, -1.0], [4.0, 5.0]]))
-        y = ag.segment_maxpool(x, 2)
+        y = ag.segment_maxpool(x, [2, 2])
         np.testing.assert_array_equal(y.data, [[np.nan, 2.0], [4.0, 5.0]])
         # the backward rule routes the NaN column's gradient to the NaN row
         (gx,) = y.backward_fn(np.ones((2, 2)))
@@ -128,6 +128,64 @@ class TestMaxpool:
         target = rng.normal(size=(1, 5))
         err = grad_check([x], lambda: huber(maxpool_points(x), target), rng=rng)
         assert err < 1e-4
+
+    def test_unequal_blocks_max_and_ties(self):
+        x = param(np.array([
+            [1.0, 0.0],                           # block 0: one row
+            [5.0, -1.0], [2.0, 2.0],              # block 1
+            [2.0, 3.0], [2.0, 3.0], [-1.0, 4.0],  # block 2: column 0 ties at rows 3 and 4
+        ]))
+        y = ag.segment_maxpool(x, [1, 2, 3])
+        np.testing.assert_array_equal(y.data, [[1.0, 0.0], [5.0, 2.0], [2.0, 4.0]])
+        zero_grad([x])
+        backward(huber(y, np.zeros((3, 2))))
+        np.testing.assert_array_equal(x.grad != 0.0, [
+            [True, False],
+            [True, False], [False, True],
+            [True, False], [False, False], [False, True],
+        ])
+
+    def test_unequal_blocks_finite_difference(self):
+        rng = np.random.default_rng(3)
+        x = param(rng.normal(size=(7, 5)))
+        target = rng.normal(size=(3, 5))
+        err = grad_check([x], lambda: huber(ag.segment_maxpool(x, [1, 4, 2]), target), rng=rng)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("counts", [[2, 0, 4], [], [2, 3], [4, 4]])
+    def test_bad_counts_rejected(self, counts):
+        # zero counts, no blocks, and counts that do not sum to the rows
+        with pytest.raises(ValueError):
+            ag.segment_maxpool(param(np.ones((6, 2))), counts)
+
+
+class TestMatmulConst:
+    def test_per_row_matrices(self):
+        rng = np.random.default_rng(4)
+        x = param(rng.normal(size=(3, 4)))
+        m = rng.normal(size=(3, 2, 4))
+        got = ag.matmul_const(x, m).data
+        np.testing.assert_allclose(got, [m[i] @ x.data[i] for i in range(3)], rtol=0, atol=1e-12)
+        target = rng.normal(size=(3, 2))
+        assert grad_check([x], lambda: huber(ag.matmul_const(x, m), target), rng=rng) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_stack_equals_matrix_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(5)
+        for yaw in rng.uniform(-10.0, 10.0, size=50):
+            m = np.eye(4)
+            m[:2, :2] = [[np.cos(yaw), -np.sin(yaw)], [np.sin(yaw), np.cos(yaw)]]
+            x = Tensor(rng.normal(size=(1, 4)).astype(dtype), requires_grad=True)
+            stacked, plain = ag.matmul_const(x, m[None]), ag.matmul_const(x, m)
+            np.testing.assert_array_equal(stacked.data, plain.data)
+            g = rng.normal(size=(1, 4)).astype(dtype)
+            np.testing.assert_array_equal(stacked.backward_fn(g)[0], plain.backward_fn(g)[0])
+
+    def test_shape_mismatch_rejected(self):
+        x = param(np.ones((3, 4)))
+        for m in (np.ones((2, 4, 4)), np.ones((3, 4, 3)), np.ones((4, 3))):
+            with pytest.raises(ValueError):
+                ag.matmul_const(x, m)
 
 
 class TestPooledLinear:
@@ -183,9 +241,9 @@ class TestNoGrad:
             outs = [
                 h,
                 ag.relu(h),
-                ag.segment_maxpool(h, 2),
+                ag.segment_maxpool(h, [2, 2]),
                 maxpool_points(h),
-                ag.pooled_linear(x, ag.segment_maxpool(h, 2), w_joined, b),
+                ag.pooled_linear(x, ag.segment_maxpool(h, [2, 2]), w_joined, b),
                 ag.slice_cols(x, 0, 2),
                 ag.add(x, x),
                 ag.scale(x, 2.0),

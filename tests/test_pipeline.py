@@ -10,11 +10,14 @@ batch.
 from __future__ import annotations
 
 import json
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lidartrack.augment import AugmentConfig
+from lidartrack.config import ExperimentConfig
 from lidartrack.data import SceneSpec, generate_synthetic_tracklet, make_synthetic_dataset, make_training_pairs
 from lidartrack.geometry import (
     Box3D,
@@ -28,7 +31,7 @@ from lidartrack.geometry import (
     yaw_matrix,
 )
 from lidartrack.evaluation import export_predictions
-from lidartrack.nn import Model, ModelConfig, Tensor
+from lidartrack.nn import Model, ModelConfig, Tensor, backward, grad_check, segment_forward_batched, zero_grad
 from lidartrack.pipeline import (
     COORD_SCALE,
     DegenerateTargetError,
@@ -38,6 +41,7 @@ from lidartrack.pipeline import (
     TrackOverrides,
     TrainConfig,
     canonical_features,
+    forward_batch,
     forward_pair,
     make_oracle_overrides,
     prepare_pair_example,
@@ -422,7 +426,36 @@ class TestTraining:
         pairs = self.toy_pairs(n_frames=4)
         a = train(model32(seed=2), pairs, self.toy_config())
         b = train(model32(seed=2), pairs, self.toy_config())
-        assert a == b
+        # only the wall-time split may differ between runs
+        assert [without_timings(row) for row in a] == [without_timings(row) for row in b]
+
+    def test_metrics_carry_phase_timings(self):
+        pairs = self.toy_pairs(n_frames=4)
+        start = time.perf_counter()
+        log = train(model32(seed=6), pairs, self.toy_config(resample_each_epoch=True))
+        wall = time.perf_counter() - start
+        epoch_walls = []
+        for row in log:
+            assert all(row[key] >= 0.0 for key in PHASE_KEYS)
+            assert row["pairs_per_s"] > 0.0
+            epoch_walls.append(len(pairs) / row["pairs_per_s"])
+            assert sum(row[key] for key in PHASE_KEYS) <= epoch_walls[-1]
+        assert sum(epoch_walls) <= wall
+
+    def test_cached_target_masks_prepare_the_same_example(self):
+        pair = self.toy_pairs(n_frames=3)[1]
+        cfg = self.toy_config(augment=AugmentConfig())
+        masks = (
+            points_in_box(pair.prev_frame.points, pair.prev_box),
+            points_in_box(pair.cur_frame.points, pair.cur_box),
+        )
+        a = prepare_pair_example(pair, cfg, np.random.default_rng(3))
+        b = prepare_pair_example(pair, cfg, np.random.default_rng(3), masks)
+        for name in ("features", "seg_labels"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for name in ("b_prev", "gt_cur", "rtm_target", "refine_target"):
+            np.testing.assert_array_equal(getattr(a, name).as_vector(), getattr(b, name).as_vector())
+        assert a.motion_label == b.motion_label
 
     def test_metrics_carry_lr(self):
         pairs = self.toy_pairs(n_frames=3)
@@ -451,15 +484,16 @@ class TestTraining:
         if not mask.any():
             mask = prior_target_mask(ex.st, ex.b_prev)
         s1 = stage1_predict(ex.st.points[mask], ex.b_prev, model)
-        np.testing.assert_array_equal(s1.refined_prev_box.as_vector(), fwd.refined_prev_box.as_vector())
+        (train_s1,) = fwd.stage1
+        np.testing.assert_array_equal(s1.refined_prev_box.as_vector(), train_s1.refined_prev_box.as_vector())
         np.testing.assert_array_equal(s1.rtm.as_vector(), RTM(*fwd.rtm4.data[0]).as_vector())
         np.testing.assert_array_equal(s1.motion_logits, fwd.motion_logits.data[0])
         want_coarse = (
-            apply_rtm(fwd.refined_prev_box, RTM(*fwd.rtm4.data[0]))
+            apply_rtm(train_s1.refined_prev_box, RTM(*fwd.rtm4.data[0]))
             if ex.motion_label
-            else fwd.refined_prev_box
+            else train_s1.refined_prev_box
         )
-        np.testing.assert_array_equal(fwd.coarse_box.as_vector(), want_coarse.as_vector())
+        np.testing.assert_array_equal(train_s1.coarse_box.as_vector(), want_coarse.as_vector())
 
         # stage two on the training branch: the world-frame residual (the
         # input of box2_4's base addition) is identical on both paths, and the
@@ -467,17 +501,109 @@ class TestTraining:
         s1_train = Stage1Output(
             rtm=RTM(*fwd.rtm4.data[0]),
             motion_logits=np.eye(2)[ex.motion_label],
-            refined_prev_box=fwd.refined_prev_box,
-            coarse_box=fwd.coarse_box,
+            refined_prev_box=train_s1.refined_prev_box,
+            coarse_box=train_s1.coarse_box,
         )
         box = stage2_refine(*split_by_time(ex.st, mask), s1_train, model)
         (residual,) = fwd.box2_4.parents
-        want = apply_rtm(fwd.coarse_box, RTM(*residual.data[0]))
+        want = apply_rtm(train_s1.coarse_box, RTM(*residual.data[0]))
         np.testing.assert_array_equal(box.as_vector(), want.as_vector())
         box2 = fwd.box2_4.data[0].astype(np.float64)
         tol = 2 * np.finfo(np.float32).eps * np.abs(box2).max()
         np.testing.assert_allclose(box.center, box2[:3], rtol=0, atol=tol)
         assert abs(wrap_angle(box.yaw - box2[3])) <= tol
+
+
+PHASE_KEYS = ("prepare_s", "forward_s", "backward_s", "step_s")
+
+
+def without_timings(row: dict) -> dict:
+    return {k: v for k, v in row.items() if k not in PHASE_KEYS + ("pairs_per_s",)}
+
+
+def desk_batch() -> tuple[ExperimentConfig, list]:
+    """One desk batch with both motion labels, unequal target counts, one
+    pair that falls back to the prior mask and one that is dropped."""
+    cfg = ExperimentConfig.from_sources(preset="desk")
+    tc = cfg.train_config()
+    tracklets = make_synthetic_dataset(3, cfg.scene_template(), master_seed=7, motions=cfg.motion_cycle())
+    pairs = make_training_pairs(tracklets)[: tc.batch_size]
+    examples = [prepare_pair_example(p, tc, np.random.default_rng([7, i])) for i, p in enumerate(pairs)]
+    examples = [ex for ex in examples if ex is not None]
+    no_target = np.zeros_like(examples[2].seg_labels)
+    far = examples[3].b_prev
+    far = Box3D(center=far.center + 100.0, size=far.size, yaw=far.yaw)
+    examples[2] = replace(examples[2], seg_labels=no_target)
+    examples[3] = replace(examples[3], seg_labels=no_target, b_prev=far)
+    return cfg, examples
+
+
+class TestForwardBatch:
+    def test_one_row_per_surviving_pair(self):
+        cfg, examples = desk_batch()
+        model = Model(cfg.model_config())
+        assert {ex.motion_label for ex in examples} == {0, 1}
+        assert len({int(ex.seg_labels.sum()) for ex in examples}) > 1
+        assert forward_pair(examples[2], model) is not None  # prior-mask fallback
+        assert forward_pair(examples[3], model) is None  # dropped
+        fwd = forward_batch(examples, model)
+        assert fwd.rows == len(examples) - 1
+        # stage one's box rows are the coarse boxes: the motion is added on
+        # the dynamic rows only
+        coarse = np.array([[*s1.coarse_box.center, s1.coarse_box.yaw] for s1 in fwd.stage1])
+        box1 = fwd.box1_4.data.astype(np.float64)
+        np.testing.assert_allclose(box1[:, :3], coarse[:, :3], rtol=0, atol=1e-4)
+        assert np.abs(wrap_angle(box1[:, 3] - coarse[:, 3])).max() < 1e-5
+
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-5)])
+    def test_batch_equals_per_pair_records(self, dtype, tol):
+        cfg, examples = desk_batch()
+        model = Model(replace(cfg.model_config(), dtype=dtype))
+        params = model.parameters()
+        feats = np.vstack([ex.features for ex in examples])
+        labels = np.concatenate([ex.seg_labels for ex in examples])
+
+        def loss_and_grads(records):
+            logits = segment_forward_batched(feats, model, batch=len(examples))
+            loss, _ = total_loss(logits, labels, records())
+            zero_grad(params)
+            backward(loss)
+            return loss.item(), [p.grad.copy() for p in params]
+
+        per_pair, per_pair_grads = loss_and_grads(
+            lambda: [f for f in (forward_pair(ex, model) for ex in examples) if f is not None]
+        )
+        # one record, and two records of unequal rows (9 and 22 pairs)
+        for records in (
+            lambda: [forward_batch(examples, model)],
+            lambda: [forward_batch(examples[:10], model), forward_batch(examples[10:], model)],
+        ):
+            batched, batched_grads = loss_and_grads(records)
+            assert abs(batched - per_pair) <= tol * abs(per_pair)
+            for a, b in zip(batched_grads, per_pair_grads):
+                np.testing.assert_allclose(a, b, rtol=0, atol=tol * np.abs(b).max())
+
+    def test_batched_stage_losses_pass_grad_check(self):
+        cfg, examples = desk_batch()
+        three = [examples[5], examples[2], examples[0]]  # static, prior fallback, dynamic
+        assert [ex.motion_label for ex in three] == [0, 1, 1]
+        # a narrower model keeps the ReLU-kink nudging and differences fast
+        model = Model(replace(cfg.model_config(), dtype="float64", point_widths=(32, 64), head_hidden=32))
+        no_seg = Tensor(np.zeros((1, 2)))
+
+        def loss(hold_stage2):
+            def fn():
+                fwd = forward_batch(three, model)
+                if hold_stage2:
+                    # no gradient flows through the merge geometry by design,
+                    # so stage one is checked with the stage-two term held
+                    fwd = replace(fwd, box2_4=Tensor(fwd.box2_target))
+                return total_loss(no_seg, np.array([0]), [fwd])[0]
+            return fn
+
+        rng = np.random.default_rng(8)
+        assert grad_check(model.stage1_parameters(), loss(True), max_entries=64, rng=rng) < 1e-4
+        assert grad_check(model.stage2_parameters(), loss(False), max_entries=64, rng=rng) < 1e-4
 
 
 class TestExportPredictions:

@@ -2,7 +2,8 @@
 
 Each property holds for every input, so hypothesis draws the boxes,
 motions and clouds: rotated IoU is a bounded, symmetric similarity;
-``infer_rtm`` inverts ``apply_rtm``; ``crop_and_sample`` depends only on the
+``infer_rtm`` inverts ``apply_rtm``; the scalar ``wrap_angle`` equals its
+array form bit for bit; ``crop_and_sample`` depends only on the
 set of points; ``points_in_box`` agrees with the box's canonical-frame
 bounds, which are computed here apart from the program.
 """
@@ -10,7 +11,7 @@ bounds, which are computed here apart from the program.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -67,6 +68,34 @@ class TestRtm:
         got = infer_rtm(box, apply_rtm(box, m))
         np.testing.assert_allclose(got.translation, m.translation, rtol=0, atol=1e-9)
         assert abs(wrap_angle(got.dtheta - m.dtheta)) <= 1e-9
+
+
+def numpy_wrap(a: float) -> np.float64:
+    """The array form of ``wrap_angle``, applied to one angle."""
+    out = np.mod(np.float64(a) + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(out == -np.pi, np.pi, out)[()]
+
+
+class TestWrapAngle:
+    @PROPERTY
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-np.pi)
+    @example(np.pi)
+    @example(3 * np.pi)
+    @example(-3 * np.pi)
+    @example(2 * np.pi)
+    @example(-2 * np.pi)
+    @example(0.0)
+    @example(-0.0)
+    @example(1e6 * np.pi)
+    @example(-(2**40) * np.pi)
+    @example(1e300)
+    @example(5e-324)
+    def test_scalar_equals_array_form_bit_for_bit(self, a):
+        got = wrap_angle(a)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == numpy_wrap(a).tobytes()
+        assert np.float64(got).tobytes() == wrap_angle(np.array([a]))[0].tobytes()
 
 
 # a coarse grid makes duplicate points and coordinate ties common
