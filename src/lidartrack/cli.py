@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -176,11 +177,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
                 f"config targets {cfg.epochs}"
             )
         stored, want = model.config, cfg.model_config()
-        if (stored.point_widths, stored.head_hidden, stored.dtype) != (
-            want.point_widths,
-            want.head_hidden,
-            want.dtype,
-        ):
+        if replace(stored, seed=want.seed) != want:
             raise ValueError(
                 f"checkpoint architecture {stored} does not match config {want}"
             )

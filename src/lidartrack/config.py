@@ -7,6 +7,12 @@ with the seed. Resolution order: built-in defaults, then a named preset,
 then the config file, then explicit flag overrides; unknown keys and wrong
 types are hard errors.
 
+Each setting is declared, defaulted and range-checked once, in the module
+config that uses it (``TrainConfig``, ``ModelConfig``, ``AugmentConfig``,
+``SceneSpec``). Those are built from this namespace by shared field name;
+only the keys whose form differs are converted here: the two ``*_deg``
+angles, the ``speed_min``/``speed_max`` pair and the ``"mixed"`` motion.
+
 Two presets ship with the package. ``paper`` carries the full-scale
 training values (batch 256, 40 epochs, learning rate 1e-3 decayed 10x
 every 20 epochs, 1024 points per crop). ``desk`` scales the same recipe
@@ -18,12 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional, get_type_hints
+from typing import Any, Mapping, Optional, TypeVar, get_type_hints
 
 import numpy as np
 
 from lidartrack.augment import AugmentConfig
-from lidartrack.data import CAR_SIZE, MOTION_MODELS, PEDESTRIAN_SIZE, SceneSpec
+from lidartrack.data import MOTION_MODELS, SceneSpec
 from lidartrack.nn import ModelConfig
 from lidartrack.pipeline import TrainConfig
 
@@ -32,9 +38,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "PRESETS"]
 
 class ConfigError(ValueError):
     """Invalid configuration input; the CLI maps this to exit code 2."""
-
-
-_CATEGORY_SIZES = {"car": CAR_SIZE, "pedestrian": PEDESTRIAN_SIZE}
 
 
 @dataclass(frozen=True)
@@ -75,22 +78,16 @@ class ExperimentConfig:
     prev_box_yaw_shift_deg: float = 10.0
 
     def __post_init__(self):
+        # only this namespace knows "mixed"; every other value is checked by
+        # the module config that uses it, and its complaint surfaces as a
+        # config error so the CLI exits with a usage status
         if self.motion != "mixed" and self.motion not in MOTION_MODELS:
             raise ConfigError(
                 f"motion must be 'mixed' or one of {MOTION_MODELS}, got {self.motion!r}"
             )
-        if self.category not in _CATEGORY_SIZES:
-            raise ConfigError(
-                f"category must be one of {sorted(_CATEGORY_SIZES)}, got {self.category!r}"
-            )
-        if not self.point_widths or any(w < 1 for w in self.point_widths):
-            raise ConfigError("point_widths must be a non-empty list of positive ints")
-        # the sub-configs own the numeric range rules; surface their
-        # complaints as config errors so the CLI exits with a usage status
         try:
             self.scene_template()
             self.model_config()
-            self.augment_config()
             self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -100,52 +97,25 @@ class ExperimentConfig:
     def scene_template(self) -> SceneSpec:
         # a concrete stand-in motion; the cycle below handles "mixed"
         motion = "constant_velocity" if self.motion == "mixed" else self.motion
-        return SceneSpec(
-            target_size=_CATEGORY_SIZES[self.category],
-            category=self.category,
-            motion=motion,
-            speed_range=(self.speed_min, self.speed_max),
-            n_frames=self.n_frames,
-            n_distractors=self.n_distractors,
-            noise_sigma=self.noise_sigma,
-            seed=self.seed,
-        )
+        return _derive(SceneSpec, self, motion=motion, speed_range=(self.speed_min, self.speed_max))
 
     def motion_cycle(self) -> Optional[tuple[str, ...]]:
         """Per-tracklet motion assignment; None keeps the template's motion."""
         return MOTION_MODELS if self.motion == "mixed" else None
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            point_widths=self.point_widths, head_hidden=self.head_hidden, seed=self.seed
-        )
+        return _derive(ModelConfig, self)
 
     def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            flip_prob=self.flip_prob,
+        return _derive(
+            AugmentConfig,
+            self,
             rot_range=float(np.deg2rad(self.rot_range_deg)),
-            trans_range=self.trans_range,
-            prev_box_shift=self.prev_box_shift,
             prev_box_yaw_shift=float(np.deg2rad(self.prev_box_yaw_shift_deg)),
         )
 
     def train_config(self, start_epoch: int = 0) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            lr_decay=self.lr_decay,
-            lr_decay_every=self.lr_decay_every,
-            n_points=self.n_points,
-            margin=self.margin,
-            seed=self.seed,
-            augment=self.augment_config(),
-            resample_each_epoch=self.resample_each_epoch,
-            lambda_cls_target=self.lambda_cls_target,
-            lambda_cls_motion=self.lambda_cls_motion,
-            lambda_reg=self.lambda_reg,
-            start_epoch=start_epoch,
-        )
+        return _derive(TrainConfig, self, augment=self.augment_config(), start_epoch=start_epoch)
 
     # -- resolution and serialization ------------------------------------
 
@@ -181,6 +151,16 @@ class ExperimentConfig:
         if overrides:
             merged.update(overrides)
         return cls(**_coerced(merged))
+
+
+_Module = TypeVar("_Module")
+
+
+def _derive(kind: type[_Module], cfg: ExperimentConfig, **explicit: Any) -> _Module:
+    """A `kind` module config from every field of `cfg` it shares by name,
+    with `explicit` supplying (or replacing) the rest."""
+    shared = {f.name for f in fields(kind)} & {f.name for f in fields(cfg)}
+    return kind(**{**{name: getattr(cfg, name) for name in shared}, **explicit})
 
 
 def _coerced(raw: Mapping[str, Any]) -> dict[str, Any]:

@@ -45,39 +45,49 @@ _SCENE_HALF_EXTENT = 20.0           # clutter square, meters
 _CLUTTER_HEIGHT = 2.0
 _TARGET_RING = (6.0, 14.0)
 _DISTRACTOR_RING = (3.0, 10.0)
+_TARGET_SIZES = {"car": CAR_SIZE, "pedestrian": PEDESTRIAN_SIZE}
+_POINT_DENSITY = 50.0               # points per m^2 of visible surface
+_YAW_RATE_RANGE = (-np.deg2rad(5.0), np.deg2rad(5.0))   # turning, rad per frame
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Full description of one synthetic tracklet; seed makes it exact."""
+    """Full description of one synthetic tracklet; seed makes it exact.
 
-    target_size: tuple[float, float, float] = CAR_SIZE
+    The target's size follows from its category (``CAR_SIZE`` or
+    ``PEDESTRIAN_SIZE``).  Every box face is sampled at 50 points per m^2
+    of visible surface, and a turning target's yaw rate is drawn from
+    ±5 degrees per frame.
+    """
+
     category: str = "car"
     motion: str = "constant_velocity"
     speed_range: tuple[float, float] = (0.0, 2.0)       # m per frame
-    yaw_rate_range: tuple[float, float] = (-np.deg2rad(5.0), np.deg2rad(5.0))
     n_frames: int = 20
     n_distractors: int = 0
     clutter_density: float = 0.05   # points per m^2 of ground extent
-    point_density: float = 50.0     # points per m^2 of visible surface
     noise_sigma: float = 0.02
     seed: int = 0
     initial_center: Optional[tuple[float, float, float]] = None
     initial_yaw: Optional[float] = None
 
     def __post_init__(self):
+        if self.category not in _TARGET_SIZES:
+            raise ValueError(f"category must be one of {sorted(_TARGET_SIZES)}, got {self.category!r}")
         if self.motion not in MOTION_MODELS:
             raise ValueError(f"motion must be one of {MOTION_MODELS}, got {self.motion!r}")
         if self.n_frames < 1:
             raise ValueError("n_frames must be at least 1")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be non-negative")
-        if self.noise_sigma < 0 or self.clutter_density < 0 or self.point_density < 0:
-            raise ValueError("densities and noise sigma must be non-negative")
+        if self.noise_sigma < 0 or self.clutter_density < 0:
+            raise ValueError("noise_sigma and clutter_density must be non-negative")
         if not (0 <= self.speed_range[0] <= self.speed_range[1]):
             raise ValueError("speed_range must satisfy 0 <= lo <= hi")
-        if self.yaw_rate_range[0] > self.yaw_rate_range[1]:
-            raise ValueError("yaw_rate_range must be ordered")
+
+    @property
+    def target_size(self) -> tuple[float, float, float]:
+        return _TARGET_SIZES[self.category]
 
 
 def _box_track(
@@ -92,7 +102,7 @@ def _box_track(
     if motion == "static":
         return boxes * spec.n_frames
     speed = rng.uniform(*spec.speed_range)
-    yaw_rate = rng.uniform(*spec.yaw_rate_range) if motion == "turning" else 0.0
+    yaw_rate = rng.uniform(*_YAW_RATE_RANGE) if motion == "turning" else 0.0
     center, yaw = np.array(center0, dtype=float), yaw0
     for _ in range(spec.n_frames - 1):
         center = center + speed * np.array([np.cos(yaw), np.sin(yaw), 0.0])
@@ -105,7 +115,7 @@ def _box_track(
 _FACE_SPANS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-def _surface_points(box: Box3D, density: float, rng: np.random.Generator) -> np.ndarray:
+def _surface_points(box: Box3D, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples on faces visible from the origin, before noise."""
     full = np.array([box.length, box.width, box.height])
     rot = yaw_matrix(box.yaw)
@@ -119,7 +129,7 @@ def _surface_points(box: Box3D, density: float, rng: np.random.Generator) -> np.
             if np.dot(rot @ normal_local, -face_center) <= 0:
                 continue
             i, j = _FACE_SPANS[axis]
-            count = int(round(full[i] * full[j] * density))
+            count = int(round(full[i] * full[j] * _POINT_DENSITY))
             if count == 0:
                 continue
             local = np.tile(face_center_local, (count, 1))
@@ -177,12 +187,12 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
     frames: list[Frame] = []
     masks: list[np.ndarray] = []
     for t in range(spec.n_frames):
-        target_pts = _surface_points(target_boxes[t], spec.point_density, rng)
+        target_pts = _surface_points(target_boxes[t], rng)
         if spec.noise_sigma > 0 and len(target_pts):
             target_pts = target_pts + rng.normal(0.0, spec.noise_sigma, size=target_pts.shape)
         parts = [target_pts]
         for track in distractor_tracks:
-            pts = _surface_points(track[t], spec.point_density, rng)
+            pts = _surface_points(track[t], rng)
             if spec.noise_sigma > 0 and len(pts):
                 pts = pts + rng.normal(0.0, spec.noise_sigma, size=pts.shape)
             parts.append(pts)

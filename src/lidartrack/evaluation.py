@@ -13,8 +13,8 @@ involved:
 - Success is the area under the recall-vs-IoU-threshold curve, which for
   thresholds on [0, 1] equals the mean overlap, reported as a percentage.
 - Precision is the area under the recall-vs-distance-threshold curve up to
-  ``max_error`` meters, which equals the mean of
-  ``(max_error - min(error, max_error)) / max_error``, as a percentage.
+  ``MAX_ERROR`` = 2 m, which equals the mean of
+  ``(MAX_ERROR - min(error, MAX_ERROR)) / MAX_ERROR``, as a percentage.
 
 A tracker that raises, or returns the wrong number of boxes or
 diagnostics, is flagged with the cause: its first frame keeps the
@@ -44,7 +44,6 @@ from lidartrack.pointcloud import Frame
 __all__ = [
     "CategoryMetrics",
     "FrameDiagnostics",
-    "KalmanConfig",
     "KalmanCVTracker",
     "OpeReport",
     "TrackResult",
@@ -60,7 +59,15 @@ __all__ = [
     "weighted_overall",
 ]
 
-DEFAULT_MAX_ERROR = 2.0
+MAX_ERROR = 2.0  # m; the precision curve's distance range
+
+# The Kalman baseline's constant-velocity model on the box center.
+KALMAN_ACCEL_VAR = 0.25  # white acceleration driving the model, (m/frame^2)^2
+KALMAN_MEASUREMENT_VAR = 1e-2  # centroid-shift measurement, m^2
+# prior velocity variance: a large value makes the filter lock onto the
+# observed motion within a couple of frames
+KALMAN_INIT_VELOCITY_VAR = 25.0
+KALMAN_GATE_MARGIN = 2.0  # per-face enlargement of the gate box around the last output, m
 
 
 @dataclass(frozen=True)
@@ -132,10 +139,10 @@ def success_auc(overlaps: Iterable[float]) -> float:
     return 100.0 * float(np.mean(np.clip(arr, 0.0, 1.0)))
 
 
-def precision_auc(errors: Iterable[float], max_error: float = DEFAULT_MAX_ERROR) -> float:
-    """AUC of the precision curve up to ``max_error`` meters, as a percentage.
+def precision_auc(errors: Iterable[float]) -> float:
+    """AUC of the precision curve up to ``MAX_ERROR`` meters, as a percentage.
 
-    Errors at or beyond ``max_error`` contribute zero; infinite errors are
+    Errors at or beyond ``MAX_ERROR`` contribute zero; infinite errors are
     allowed and score zero, which is how failed frames enter the average.
     """
     arr = np.asarray(list(errors), dtype=np.float64)
@@ -143,10 +150,8 @@ def precision_auc(errors: Iterable[float], max_error: float = DEFAULT_MAX_ERROR)
         raise ValueError("need at least one error")
     if np.any(np.isnan(arr)) or np.any(arr < 0):
         raise ValueError("errors must be non-negative")
-    if not max_error > 0:
-        raise ValueError("max_error must be positive")
-    clamped = np.minimum(arr, max_error)
-    return 100.0 * float(np.mean((max_error - clamped) / max_error))
+    clamped = np.minimum(arr, MAX_ERROR)
+    return 100.0 * float(np.mean((MAX_ERROR - clamped) / MAX_ERROR))
 
 
 def weighted_overall(
@@ -332,24 +337,6 @@ class ZeroMotionTracker:
         return TrackResult(boxes=tuple(boxes), diagnostics=tuple(diags))
 
 
-@dataclass(frozen=True)
-class KalmanConfig:
-    """Constant-velocity Kalman filter on the box center.
-
-    accel_var: variance of the white acceleration driving the model,
-    in (m/frame^2)^2. measurement_var: variance of the centroid-shift
-    measurement, m^2. init_velocity_var: prior velocity variance; large
-    values make the filter lock onto the observed motion within a couple
-    of frames. gate_margin: per-face enlargement of the previous output
-    box when collecting points for the centroid, m.
-    """
-
-    accel_var: float = 0.25
-    measurement_var: float = 1e-2
-    init_velocity_var: float = 25.0
-    gate_margin: float = 2.0
-
-
 class KalmanCVTracker:
     """Constant-velocity Kalman baseline, dead-reckoning from its own output.
 
@@ -362,26 +349,23 @@ class KalmanCVTracker:
     skipped and the filter coasts on its prediction. Size and yaw are
     carried unchanged from the initialization box. The update uses the
     Joseph form, which keeps the covariance symmetric positive definite.
+    The noise variances and the gate margin are the ``KALMAN_*`` constants.
     """
 
     name = "kalman-cv"
-
-    def __init__(self, config: KalmanConfig = KalmanConfig()):
-        self.config = config
-        self.covariance: np.ndarray | None = None
+    covariance: np.ndarray | None = None  # the last track's final state covariance
 
     def track(self, frames: Sequence[Frame], initial_box: Box3D) -> TrackResult:
-        cfg = self.config
         eye3 = np.eye(3)
         x = np.zeros(6)
         x[:3] = initial_box.center
-        P = np.diag([cfg.measurement_var] * 3 + [cfg.init_velocity_var] * 3)
+        P = np.diag([KALMAN_MEASUREMENT_VAR] * 3 + [KALMAN_INIT_VELOCITY_VAR] * 3)
         F = np.eye(6)
         F[:3, 3:] = eye3
-        q = cfg.accel_var  # discrete white-acceleration noise, dt = 1 frame
+        q = KALMAN_ACCEL_VAR  # discrete white-acceleration noise, dt = 1 frame
         Q = np.block([[q / 4 * eye3, q / 2 * eye3], [q / 2 * eye3, q * eye3]])
         H = np.hstack([eye3, np.zeros((3, 3))])
-        R = cfg.measurement_var * eye3
+        R = KALMAN_MEASUREMENT_VAR * eye3
         size, yaw = initial_box.size, initial_box.yaw
 
         boxes, diags = [initial_box], []
@@ -390,7 +374,7 @@ class KalmanCVTracker:
             x = F @ x
             P = F @ P @ F.T + Q
             gate = Box3D(
-                center=boxes[-1].center, size=size + 2.0 * cfg.gate_margin, yaw=yaw
+                center=boxes[-1].center, size=size + 2.0 * KALMAN_GATE_MARGIN, yaw=yaw
             )
             prev_pts = frames[t - 1].points
             cur_pts = frames[t].points
@@ -447,17 +431,31 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     The file is JSON lines as written by :func:`export_predictions`; every
     listed tracklet id must exist in ``tracklets`` and cover exactly its
     frame count. Wall times of the tracked frames are taken from the file.
+    A line that is not JSON, lacks a key or holds an invalid box raises
+    ``ValueError('<path>:<line>: ...')``.
     """
     tracklets = list(tracklets)
     by_id = {t.id: t for t in tracklets}
-    rows_by_id: dict[str, list[dict]] = defaultdict(list)
+    # per tracklet id: (frame index, box, wall ms) in file order
+    rows_by_id: dict[str, list[tuple[int, Box3D, float]]] = defaultdict(list)
     with open(str(path), "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            rows_by_id[str(row["tracklet_id"])].append(row)
+            try:
+                row = json.loads(line)
+                tid = str(row["tracklet_id"])
+                parsed = (
+                    int(row["frame_index"]),
+                    Box3D.from_vector(np.asarray(row["box"], dtype=np.float64)),
+                    float(row.get("wall_ms", 0.0)),
+                )
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            rows_by_id[tid].append(parsed)
 
     unknown = sorted(set(rows_by_id) - set(by_id))
     if unknown:
@@ -470,16 +468,15 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     wall_ms: list[float] = []
     for tid, rows in rows_by_id.items():
         t = by_id[tid]
-        rows = sorted(rows, key=lambda r: int(r["frame_index"]))
-        indices = [int(r["frame_index"]) for r in rows]
+        rows = sorted(rows, key=lambda r: r[0])
+        indices = [index for index, _, _ in rows]
         if indices != list(range(len(t.frames))):
             raise ValueError(
                 f"tracklet {tid!r}: frame indices {indices} do not cover "
                 f"0..{len(t.frames) - 1}"
             )
-        boxes = [Box3D.from_vector(np.asarray(r["box"], dtype=np.float64)) for r in rows]
-        traces[tid] = _score_boxes(boxes, t.gt_boxes)
-        wall_ms.extend(float(r.get("wall_ms", 0.0)) for r in rows[1:])
+        traces[tid] = _score_boxes([box for _, box, _ in rows], t.gt_boxes)
+        wall_ms.extend(ms for _, _, ms in rows[1:])
     return _build_report("predictions", tracklets, traces, {}, wall_ms)
 
 

@@ -228,11 +228,11 @@ def box_key_points(b: Box3D) -> np.ndarray:
     return np.vstack([corners, b.center])
 
 
-def points_in_box(points: np.ndarray, b: Box3D, atol: float = CONTAINMENT_ATOL) -> np.ndarray:
+def points_in_box(points: np.ndarray, b: Box3D) -> np.ndarray:
     """Boundary-inclusive containment mask for an (N, 3) point array.
 
     A point is inside iff its canonical-frame coordinates satisfy
-    ``|x| <= l/2``, ``|y| <= w/2``, ``|z| <= h/2`` (up to ``atol``).
+    ``|x| <= l/2``, ``|y| <= w/2``, ``|z| <= h/2`` (up to ``CONTAINMENT_ATOL``).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -241,7 +241,7 @@ def points_in_box(points: np.ndarray, b: Box3D, atol: float = CONTAINMENT_ATOL) 
         raise ValueError("points must be finite")
     local = world_to_canonical(pts, b)
     w, l, h = b.size
-    half = np.array([l / 2, w / 2, h / 2]) + atol
+    half = np.array([l / 2, w / 2, h / 2]) + CONTAINMENT_ATOL
     return np.all(np.abs(local) <= half, axis=1)
 
 

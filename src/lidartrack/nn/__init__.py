@@ -15,7 +15,6 @@ from lidartrack.nn.autograd import (
     backward,
     linear,
     matmul_const,
-    maxpool_points,
     no_grad,
     pooled_linear,
     relu,
@@ -55,7 +54,6 @@ __all__ = [
     "linear",
     "load_checkpoint",
     "matmul_const",
-    "maxpool_points",
     "mlp_forward",
     "no_grad",
     "pooled_linear",

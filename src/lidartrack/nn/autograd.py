@@ -43,7 +43,6 @@ __all__ = [
     "linear",
     "pooled_linear",
     "relu",
-    "maxpool_points",
     "segment_maxpool",
     "slice_cols",
     "add",
@@ -248,12 +247,6 @@ def segment_maxpool(x: Tensor, counts: Sequence[int]) -> Tensor:
         return (gx,)
 
     return Tensor(out, parents=(x,), backward_fn=bw, op="segment_maxpool")
-
-
-def maxpool_points(x: Tensor) -> Tensor:
-    """Column-wise max over all rows, keeping a (1, C) shape."""
-    _as2d(x, "maxpool_points")
-    return segment_maxpool(x, [x.data.shape[0]])
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:

@@ -23,6 +23,7 @@ from lidartrack.nn.autograd import Tensor
 __all__ = ["grad_check"]
 
 _KINK_TOL = 1e-3
+_MAX_ROUNDS = 100
 
 
 def _relu_nodes(root: Tensor) -> list[Tensor]:
@@ -38,28 +39,42 @@ def _relu_nodes(root: Tensor) -> list[Tensor]:
     return out
 
 
-def _nudge_relu_kinks(loss_fn: Callable[[], Tensor], max_rounds: int = 100) -> None:
+def _near_kinks(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
+    """For each ReLU fed by a layer op: the layer's bias and the mask of
+    pre-activations within the tolerance of the kink."""
+    out = []
+    for node in _relu_nodes(root):
+        pre = node.parents[0]
+        if pre.op in ("linear", "pooled_linear"):
+            # both layer ops take the bias last
+            out.append((pre.parents[-1], np.abs(pre.data) < _KINK_TOL))
+    return out
+
+
+def _nudge_relu_kinks(loss_fn: Callable[[], Tensor]) -> None:
     """Shift layer biases until no pre-activation is near a ReLU kink.
 
     Each round rebuilds the graph, finds ReLU inputs with |value| below the
     tolerance, and raises the producing layer's bias for those columns.
     Shifts only ever increase the bias, so every row eventually clears the
-    window and the loop terminates.
+    window; if that takes more than ``_MAX_ROUNDS`` rounds, raises
+    ``RuntimeError`` rather than check across live kinks.
     """
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         moved = False
-        for node in _relu_nodes(loss_fn()):
-            pre = node.parents[0]
-            if pre.op not in ("linear", "pooled_linear"):
-                continue
-            bias = pre.parents[-1]  # both layer ops take the bias last
-            near = np.abs(pre.data) < _KINK_TOL
+        for bias, near in _near_kinks(loss_fn()):
             cols = np.flatnonzero(near.any(axis=0))
             if cols.size:
                 bias.data[cols] += 4.0 * _KINK_TOL
                 moved = True
         if not moved:
             return
+    remaining = sum(int(near.sum()) for _, near in _near_kinks(loss_fn()))
+    if remaining:
+        raise RuntimeError(
+            f"ReLU kinks not cleared after {_MAX_ROUNDS} nudge rounds: {remaining} "
+            f"pre-activation entries remain within {_KINK_TOL} of zero"
+        )
 
 
 def grad_check(

@@ -13,6 +13,8 @@ from lidartrack.nn.autograd import Tensor
 
 __all__ = ["cross_entropy", "huber"]
 
+HUBER_DELTA = 1.0  # Huber's quadratic-to-linear switch, in the regressed units (m, rad)
+
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under row softmax.
@@ -50,26 +52,23 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor(np.asarray(loss, dtype=z.dtype), parents=(logits,), backward_fn=bw, op="cross_entropy")
 
 
-def huber(pred: Tensor, target, delta: float = 1.0) -> Tensor:
-    """Mean Huber loss over all elements: quadratic within delta, linear beyond."""
+def huber(pred: Tensor, target) -> Tensor:
+    """Mean Huber loss over all elements: quadratic within ``HUBER_DELTA``,
+    linear beyond."""
     target = np.asarray(target, dtype=pred.data.dtype)
     if target.shape != pred.data.shape:
         raise ValueError(f"target shape {target.shape} does not match pred {pred.data.shape}")
     if pred.data.size == 0:
         raise ValueError("huber on an empty input")
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-
     r = pred.data - target
     a = np.abs(r)
-    per = np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
+    per = np.where(a <= HUBER_DELTA, 0.5 * r * r, HUBER_DELTA * (a - 0.5 * HUBER_DELTA))
     loss = per.mean()
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite Huber loss")
     k = r.size
 
     def bw(g: np.ndarray):
-        return (np.clip(r, -delta, delta) * (g / k),)
+        return (np.clip(r, -HUBER_DELTA, HUBER_DELTA) * (g / k),)
 
     return Tensor(np.asarray(loss, dtype=pred.data.dtype), parents=(pred,), backward_fn=bw, op="huber")

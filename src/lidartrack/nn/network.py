@@ -253,10 +253,15 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if len(blob) < 12 + header_len:
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    cfg = dict(header["config"])
-    cfg["point_widths"] = tuple(cfg["point_widths"])
-    model = Model(ModelConfig(**cfg))
+    try:
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        cfg = dict(header["config"])
+        cfg["point_widths"] = tuple(cfg["point_widths"])
+        model = Model(ModelConfig(**cfg))
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise ValueError(f"{path}: bad header: {exc}") from exc
     params = model.parameters()
     body = blob[12 + header_len :]
     expected = model.num_parameters() * 4

@@ -189,21 +189,18 @@ def segment_target(
 
 @dataclass(frozen=True)
 class Stage1Output:
-    """Coarse localization: predicted motion plus the boxes it produced."""
+    """Coarse localization: predicted motion plus the boxes it produced.
+
+    ``dynamic`` is the branch ``coarse_box`` followed: the argmax of the
+    motion logits at inference, the motion label in training and in the
+    oracle overrides.
+    """
 
     rtm: RTM
     motion_logits: np.ndarray
+    dynamic: bool
     refined_prev_box: Box3D
     coarse_box: Box3D
-
-    @property
-    def dynamic(self) -> bool:
-        return _dynamic_from_logits(self.motion_logits)
-
-
-def _dynamic_from_logits(logits: np.ndarray) -> bool:
-    # index 1 is the dynamic class; argmax resolves a tie to static
-    return int(np.argmax(logits)) == 1
 
 
 def _yaw_blocks(boxes: Sequence[Box3D]) -> np.ndarray:
@@ -218,11 +215,10 @@ def _yaw_blocks(boxes: Sequence[Box3D]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Stage1Graph:
-    """Stage one's results and branches, one per pair, and its world-frame
-    graph nodes, one row per pair."""
+    """Stage one's results, one per pair, and its world-frame graph nodes,
+    one row per pair."""
 
     outputs: tuple[Stage1Output, ...]
-    dynamic: tuple[bool, ...]
     rtm4: Tensor
     logits: Tensor
     refine4: Tensor
@@ -248,7 +244,8 @@ def _stage1(
     rtm4 = matmul_const(rtm4_c, blocks)
     refine4 = matmul_const(refine4_c, blocks)
     if dynamic is None:
-        dynamic = [_dynamic_from_logits(row) for row in logits.data]
+        # index 1 is the dynamic class; argmax resolves a tie to static
+        dynamic = logits.data.argmax(axis=1) == 1
     outputs = []
     for b_prev, dyn, rtm_row, refine_row, logit_row in zip(
         b_prevs, dynamic, rtm4.data, refine4.data, logits.data
@@ -258,16 +255,11 @@ def _stage1(
         outputs.append(Stage1Output(
             rtm=rtm,
             motion_logits=logit_row.astype(np.float64),
+            dynamic=bool(dyn),
             refined_prev_box=refined,
             coarse_box=apply_rtm(refined, rtm) if dyn else refined,
         ))
-    return _Stage1Graph(
-        outputs=tuple(outputs),
-        dynamic=tuple(bool(d) for d in dynamic),
-        rtm4=rtm4,
-        logits=logits,
-        refine4=refine4,
-    )
+    return _Stage1Graph(outputs=tuple(outputs), rtm4=rtm4, logits=logits, refine4=refine4)
 
 
 def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
@@ -288,24 +280,21 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
 
 
 def _stage2(
-    targets: Sequence[tuple[np.ndarray, np.ndarray]],
-    s1: Sequence[Stage1Output],
-    model: Model,
-    dynamic: Sequence[bool],
+    targets: Sequence[tuple[np.ndarray, np.ndarray]], s1: Sequence[Stage1Output], model: Model
 ) -> Tensor:
     """World-frame residuals (pairs, 4) of the coarse boxes from stage one.
 
     `targets` holds each pair's (previous, current) target xyz.  Stage
     one's motion moves the previous target points onto the current ones on
-    the ``dynamic`` branch, and each pair's merged points are expressed in
-    its coarse-box frame.
+    the dynamic branch, and each pair's merged points are expressed in its
+    coarse-box frame.
     """
     canon = [
         world_to_canonical(
-            motion_assisted_merge(prev_xyz, cur_xyz, out.rtm, prev_box=out.refined_prev_box, dynamic=dyn),
+            motion_assisted_merge(prev_xyz, cur_xyz, out.rtm, prev_box=out.refined_prev_box, dynamic=out.dynamic),
             out.coarse_box,
         ) * COORD_SCALE
-        for (prev_xyz, cur_xyz), out, dyn in zip(targets, s1, dynamic)
+        for (prev_xyz, cur_xyz), out in zip(targets, s1)
     ]
     out4 = stage2_forward(np.vstack(canon), model, [len(c) for c in canon])
     return matmul_const(out4, _yaw_blocks([out.coarse_box for out in s1]))
@@ -318,7 +307,7 @@ def stage2_refine(
     if len(prev_xyz) + len(cur_xyz) == 0:
         return s1.coarse_box
     with no_grad():
-        residual = _stage2([(prev_xyz, cur_xyz)], [s1], model, [s1.dynamic])
+        residual = _stage2([(prev_xyz, cur_xyz)], [s1], model)
     return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
 
 
@@ -483,11 +472,14 @@ def make_oracle_overrides(tracklet: Tracklet) -> TrackOverrides:
 
     def stage1(i: int, targets: np.ndarray, b_prev: Box3D) -> Stage1Output:
         m = infer_rtm(boxes[i - 1], boxes[i])
-        # the logits follow the motion label, but the box follows the motion
-        # itself: a slow mover labeled static still moves
+        # the logits and the branch flag follow the motion label, but the box
+        # follows the motion itself: a slow mover labeled static still moves
         coarse = apply_rtm(b_prev, m) if m.as_vector().any() else b_prev
-        logits = np.array([0.0, 1.0]) if is_dynamic(m) else np.array([1.0, 0.0])
-        return Stage1Output(rtm=m, motion_logits=logits, refined_prev_box=b_prev, coarse_box=coarse)
+        dynamic = is_dynamic(m)
+        logits = np.array([0.0, 1.0]) if dynamic else np.array([1.0, 0.0])
+        return Stage1Output(
+            rtm=m, motion_logits=logits, dynamic=dynamic, refined_prev_box=b_prev, coarse_box=coarse
+        )
 
     def stage2(i: int, prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output) -> Box3D:
         return s1.coarse_box
@@ -683,7 +675,7 @@ def forward_batch(
     # the merge geometry is driven by predicted motion values; only the
     # stage-two output vectors carry gradient here
     split = [split_by_time(ex.st, mask) for ex, mask in zip(kept, masks)]
-    residual = _stage2(split, g.outputs, model, g.dynamic)
+    residual = _stage2(split, g.outputs, model)
     box2_4 = add_const(residual, _box4([out.coarse_box for out in g.outputs]))
 
     gt_cur = _box4([ex.gt_cur for ex in kept])

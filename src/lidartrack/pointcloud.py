@@ -98,14 +98,6 @@ class STCloud:
             object.__setattr__(self, "distmap", dm)
 
     @property
-    def n_prev(self) -> int:
-        return int(np.sum(self.points[:, 3] == 0.0))
-
-    @property
-    def n_cur(self) -> int:
-        return self.points.shape[0] - self.n_prev
-
-    @property
     def prev_rows(self) -> np.ndarray:
         return self.points[:, 3] == 0.0
 

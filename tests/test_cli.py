@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lidartrack.augment import AugmentConfig
 from lidartrack.cli import BASELINES, main
 from lidartrack.config import ConfigError, ExperimentConfig, PRESETS
-from lidartrack.data import read_native
+from lidartrack.data import SceneSpec, read_native
 from lidartrack.evaluation import run_ope, score_predictions
 from lidartrack.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
-from lidartrack.pipeline import NetworkTracker
+from lidartrack.pipeline import NetworkTracker, TrainConfig
 
 
 def write_config(path: Path, **keys) -> str:
@@ -100,6 +101,22 @@ class TestConfig:
         path.write_text("[1, 2]\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="object"):
             ExperimentConfig.from_sources(config_file=str(path))
+
+    def test_defaults_build_the_module_defaults(self):
+        # every default is declared once, in the module config that uses it
+        cfg = ExperimentConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.model_config() == ModelConfig()
+        assert cfg.augment_config() == AugmentConfig()
+        assert cfg.scene_template() == SceneSpec()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("category", "truck"), ("point_widths", []), ("epochs", 0), ("flip_prob", 2.0), ("noise_sigma", -1.0)],
+    )
+    def test_module_checks_surface_as_config_errors(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_sources(overrides={key: value})
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig.from_sources(preset="desk")
@@ -210,6 +227,24 @@ class TestTrain:
             "--config", cfg, "--resume", str(trained / "checkpoint.lidartrack"),
         ])
         assert rc == 1
+
+    def test_resume_other_architecture_fails(self, tmp_path, tiny_dataset, trained, capsys):
+        cfg = write_config(tmp_path / "c.json", **{**TINY, "epochs": 4, "head_hidden": 64})
+        rc = main([
+            "train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "o"),
+            "--config", cfg, "--resume", str(trained / "checkpoint.lidartrack"),
+        ])
+        assert rc == 1
+        assert "architecture" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_resume_ignores_the_init_seed(self, tmp_path, tiny_dataset, trained):
+        # the stored seed only drew the initial weights the checkpoint replaced
+        cfg = write_config(tmp_path / "c.json", **{**TINY, "epochs": 3})
+        rc = main([
+            "train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "o"), "--seed", "5",
+            "--config", cfg, "--resume", str(trained / "checkpoint.lidartrack"),
+        ])
+        assert rc == 0
 
     def test_seed_changes_metrics(self, tmp_path, tiny_dataset):
         losses = []
@@ -391,6 +426,20 @@ class TestEval:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+
+
+    def test_malformed_predictions_name_the_file(self, tmp_path, tiny_dataset, capsys):
+        preds = self.gt_predictions(tiny_dataset, tmp_path / "p.jsonl")
+        text = preds.read_text()
+        preds.write_text(text[:-20], encoding="utf-8")  # cut the last line short
+        rc = main([
+            "eval", "--dataset", str(tiny_dataset), "--predictions", str(preds),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{preds}:{text.count(chr(10))}: ")
 
 
 class TestEntryPoint:

@@ -53,6 +53,14 @@ class TestSceneSpecValidation:
         with pytest.raises(ValueError):
             SceneSpec(noise_sigma=-0.1)
 
+    def test_unknown_category_rejected(self):
+        with pytest.raises(ValueError, match="truck"):
+            SceneSpec(category="truck")
+
+    def test_target_size_follows_category(self):
+        assert SceneSpec().target_size == CAR_SIZE
+        assert SceneSpec(category="pedestrian").target_size == PEDESTRIAN_SIZE
+
 
 class TestSyntheticGenerator:
     def test_static_spec_zero_motion(self):
@@ -141,7 +149,7 @@ class TestSyntheticGenerator:
 
     def test_pedestrian_preset(self):
         t = generate_synthetic_tracklet(
-            SceneSpec(target_size=PEDESTRIAN_SIZE, category="pedestrian", seed=8)
+            SceneSpec(category="pedestrian", seed=8)
         )
         np.testing.assert_array_equal(t.gt_boxes[0].size, PEDESTRIAN_SIZE)
         assert t.category == "pedestrian"

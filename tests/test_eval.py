@@ -14,7 +14,6 @@ from lidartrack.data import SceneSpec, generate_synthetic_tracklet, make_synthet
 from lidartrack.geometry import Box3D, box_key_points, center_distance, iou3d
 from lidartrack.evaluation import (
     FrameDiagnostics,
-    KalmanConfig,
     KalmanCVTracker,
     OpeReport,
     TrackResult,
@@ -206,7 +205,6 @@ def small_mixed_dataset():
         motion="static",
         n_frames=4,
         seed=11,
-        target_size=(0.6, 0.8, 1.7),
         category="pedestrian",
         initial_center=(5.0, 1.0, 0.85),
     )
@@ -332,6 +330,26 @@ class TestScorePredictions:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="frame"):
             score_predictions(path, [t])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"tracklet_id": "syn-21", "frame_', "Unterminated string"),
+            ('{"frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0]}', "missing key 'tracklet_id'"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 0, 1, 1, 0]}',
+             "size components must be positive"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        t = generate_synthetic_tracklet(SceneSpec(n_frames=2, seed=21))
+        path = tmp_path / "preds.jsonl"
+        export_predictions([(t.id, ZeroMotionTracker().track(list(t.frames), t.gt_boxes[0]))], path)
+        first = path.read_text().splitlines()[0]
+        path.write_text(f"{first}\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            score_predictions(path, [t])
+        assert str(err.value).startswith(f"{path}:2: ")
+        assert message in str(err.value)
 
     def test_mean_wall_counts_tracked_frames_only(self, tmp_path):
         import json

@@ -9,6 +9,9 @@ hand computation.
 
 from __future__ import annotations
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,6 @@ from lidartrack.nn import (
     grad_check,
     huber,
     load_checkpoint,
-    maxpool_points,
     mlp_forward,
     no_grad,
     save_checkpoint,
@@ -77,18 +79,18 @@ class TestMlpForward:
 class TestMaxpool:
     def test_single_row_passthrough(self):
         x = Tensor(np.array([[1.0, -2.0, 3.0]]))
-        np.testing.assert_array_equal(maxpool_points(x).data, [[1.0, -2.0, 3.0]])
+        np.testing.assert_array_equal(ag.segment_maxpool(x, [1]).data, [[1.0, -2.0, 3.0]])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         d = rng.normal(size=(16, 8))
-        a = maxpool_points(Tensor(d)).data
-        b = maxpool_points(Tensor(d[rng.permutation(16)])).data
+        a = ag.segment_maxpool(Tensor(d), [16]).data
+        b = ag.segment_maxpool(Tensor(d[rng.permutation(16)]), [16]).data
         np.testing.assert_array_equal(a, b)
 
     def test_tie_routes_gradient_to_lowest_row(self):
         x = param(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-        y = maxpool_points(x)
+        y = ag.segment_maxpool(x, [3])
         zero_grad([x])
         backward(huber(y, np.zeros((1, 2))))
         # rows 0 and 1 tie; all gradient must land on row 0
@@ -120,13 +122,13 @@ class TestMaxpool:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            maxpool_points(Tensor(np.zeros((0, 4))))
+            ag.segment_maxpool(Tensor(np.zeros((0, 4))), [0])
 
     def test_finite_difference(self):
         rng = np.random.default_rng(1)
         x = param(rng.normal(size=(6, 5)))
         target = rng.normal(size=(1, 5))
-        err = grad_check([x], lambda: huber(maxpool_points(x), target), rng=rng)
+        err = grad_check([x], lambda: huber(ag.segment_maxpool(x, [6]), target), rng=rng)
         assert err < 1e-4
 
     def test_unequal_blocks_max_and_ties(self):
@@ -242,7 +244,7 @@ class TestNoGrad:
                 h,
                 ag.relu(h),
                 ag.segment_maxpool(h, [2, 2]),
-                maxpool_points(h),
+                ag.segment_maxpool(h, [4]),
                 ag.pooled_linear(x, ag.segment_maxpool(h, [2, 2]), w_joined, b),
                 ag.slice_cols(x, 0, 2),
                 ag.add(x, x),
@@ -370,7 +372,7 @@ class TestHuber:
 
     def test_continuity_at_delta(self):
         # both branches give 0.5 * delta^2 at |r| = delta
-        v = huber(Tensor(np.array([1.0])), np.array([0.0]), delta=1.0).item()
+        v = huber(Tensor(np.array([1.0])), np.array([0.0])).item()
         assert v == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_at_equality_and_mean_semantics(self):
@@ -524,6 +526,16 @@ class TestGradCheckNets:
                              nudge=nudge, rng=np.random.default_rng(0))
             assert (err < 1e-4) == holds, err
 
+    def test_nudging_gives_up_loudly(self):
+        # one ReLU column whose inputs sit 4e-3 apart below zero: each round
+        # clears one row and shifts the next onto the kink, so 150 rows
+        # outlast the 100-round cap
+        n = 150
+        x = Tensor(-4e-3 * np.arange(float(n)).reshape(n, 1))
+        w, b = param([[1.0]]), param([0.0])
+        with pytest.raises(RuntimeError, match="after 100 nudge rounds: 1 pre-activation"):
+            grad_check([w, b], lambda: huber(ag.relu(ag.linear(x, w, b)), np.zeros((n, 1))))
+
 
 class TestModelAndCheckpoint:
     def test_init_deterministic_per_seed(self):
@@ -567,6 +579,25 @@ class TestModelAndCheckpoint:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_undecodable_header_names_the_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Model(ModelConfig()), path)
+        raw = bytearray(path.read_bytes())
+        raw[12] = 0xFF  # the header's first byte: not UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad header"):
+            load_checkpoint(path)
+
+    def test_header_without_config_names_the_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Model(ModelConfig()), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = raw[12 : 12 + header_len].replace(b'"config"', b'"konfig"')
+        path.write_bytes(raw[:12] + header + raw[12 + header_len :])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header lacks key 'config'"):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path):

@@ -185,6 +185,7 @@ class TestStage2Refine:
         return Stage1Output(
             rtm=RTM(0, 0, 0, 0),
             motion_logits=np.array([1.0, 0.0]),
+            dynamic=False,
             refined_prev_box=coarse,
             coarse_box=coarse,
         )
@@ -501,6 +502,7 @@ class TestTraining:
         s1_train = Stage1Output(
             rtm=RTM(*fwd.rtm4.data[0]),
             motion_logits=np.eye(2)[ex.motion_label],
+            dynamic=bool(ex.motion_label),
             refined_prev_box=train_s1.refined_prev_box,
             coarse_box=train_s1.coarse_box,
         )
@@ -554,6 +556,15 @@ class TestForwardBatch:
         box1 = fwd.box1_4.data.astype(np.float64)
         np.testing.assert_allclose(box1[:, :3], coarse[:, :3], rtol=0, atol=1e-4)
         assert np.abs(wrap_angle(box1[:, 3] - coarse[:, 3])).max() < 1e-5
+
+    def test_stage1_records_the_branch_it_took(self):
+        # training follows the motion label, wherever the logits point
+        cfg, examples = desk_batch()
+        fwd = forward_batch(examples, Model(cfg.model_config()))
+        predicted = [int(np.argmax(s1.motion_logits)) for s1 in fwd.stage1]
+        assert predicted != list(fwd.motion_label)
+        for s1, label in zip(fwd.stage1, fwd.motion_label):
+            assert s1.dynamic == bool(label)
 
     @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-5)])
     def test_batch_equals_per_pair_records(self, dtype, tol):

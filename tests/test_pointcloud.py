@@ -101,7 +101,7 @@ class TestBuildSTCloud:
         st = build_st_cloud(prev, cur)
         assert st.points.shape == (5, 4)
         np.testing.assert_array_equal(st.points[:, 3], [0, 0, 1, 1, 1])
-        assert st.n_prev == 2 and st.n_cur == 3
+        np.testing.assert_array_equal(st.prev_rows, [True, True, False, False, False])
 
     def test_empty_prev(self):
         prev = make_frame(np.zeros((0, 3)), t=0)
