@@ -291,7 +291,9 @@ def _stage2(
     """
     canon = [
         world_to_canonical(
-            motion_assisted_merge(prev_xyz, cur_xyz, out.rtm, prev_box=out.refined_prev_box, dynamic=out.dynamic),
+            motion_assisted_merge(
+                prev_xyz, cur_xyz, out.rtm, prev_box=out.refined_prev_box, dynamic=out.dynamic
+            ),
             out.coarse_box,
         ) * COORD_SCALE
         for (prev_xyz, cur_xyz), out in zip(targets, s1)

@@ -427,7 +427,6 @@ class TestEval:
         ])
         assert rc == 1
 
-
     def test_malformed_predictions_name_the_file(self, tmp_path, tiny_dataset, capsys):
         preds = self.gt_predictions(tiny_dataset, tmp_path / "p.jsonl")
         text = preds.read_text()

@@ -244,7 +244,6 @@ class TestNoGrad:
                 h,
                 ag.relu(h),
                 ag.segment_maxpool(h, [2, 2]),
-                ag.segment_maxpool(h, [4]),
                 ag.pooled_linear(x, ag.segment_maxpool(h, [2, 2]), w_joined, b),
                 ag.slice_cols(x, 0, 2),
                 ag.add(x, x),
