@@ -24,6 +24,7 @@ from lidartrack.evaluation import (
     ZeroMotionTracker,
     distractor_protocol,
     export_predictions,
+    mean_wall_ms,
     render_report,
     run_ope,
     score_predictions,
@@ -97,7 +98,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = ExperimentConfig.from_sources(
             preset=args.preset, config_file=args.config, overrides=overrides
         )
-        return args.func(args, cfg)
+        status = args.func(args, cfg)
+        if status == 0:
+            _write_snapshot(Path(args.out), args, cfg)
+        return status
     except ConfigError as exc:
         _emit_error(exc)
         return 2
@@ -153,7 +157,6 @@ def cmd_generate(args, cfg: ExperimentConfig) -> int:
         motions=cfg.motion_cycle(),
     )
     write_native(dataset, out)
-    _write_snapshot(out, args, cfg)
     n_frames = sum(len(t.frames) for t in dataset)
     pairs = make_training_pairs(dataset)
     dynamic = sum(is_dynamic(infer_rtm(p.prev_box, p.cur_box)) for p in pairs)
@@ -195,7 +198,6 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     (out / "metrics.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in metrics), encoding="utf-8"
     )
-    _write_snapshot(out, args, cfg)
     last = metrics[-1] if metrics else {}
     print(
         f"trained epochs {start_epoch}..{cfg.epochs - 1} on {len(pairs)} pairs; "
@@ -213,10 +215,7 @@ def cmd_track(args, cfg: ExperimentConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_predictions(results, out / "predictions.jsonl")
-    _write_snapshot(out, args, cfg)
-    steps = sum(len(r.diagnostics) for _, r in results)
-    total_ms = sum(d.wall_ms for _, r in results for d in r.diagnostics)
-    mean_ms = total_ms / max(steps, 1)
+    mean_ms = mean_wall_ms([d.wall_ms for _, r in results for d in r.diagnostics])
     fps = 1e3 / mean_ms if mean_ms > 0 else float("inf")
     print(
         f"tracked {len(results)} tracklets; mean per-frame wall time "
@@ -289,7 +288,6 @@ def cmd_eval(args, cfg: ExperimentConfig) -> int:
             )
         text = "\n".join(lines) + "\n"
         (out / "distractor_sweep.txt").write_text(text, encoding="utf-8")
-        _write_snapshot(out, args, cfg)
         print(text, end="")
         return 0
 
@@ -298,7 +296,6 @@ def cmd_eval(args, cfg: ExperimentConfig) -> int:
     else:
         report = run_ope(_make_tracker(args, cfg), _load_tracklets(args.dataset))
     text = _write_report(out, report)
-    _write_snapshot(out, args, cfg)
     print(text, end="")
     return 0
 

@@ -23,7 +23,9 @@ scenes with 3 distractors, which is the setting the acceptance run uses.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Any, Mapping, Optional, TypeVar, get_type_hints
 
 import numpy as np
@@ -38,6 +40,17 @@ __all__ = ["ConfigError", "ExperimentConfig", "PRESETS"]
 
 class ConfigError(ValueError):
     """Invalid configuration input; the CLI maps this to exit code 2."""
+
+
+# The keys converted below (`augment_config`, `scene_template`) reach their
+# module config under another name: module field -> the key a user writes,
+# so a module's complaint names the user's key.
+_USER_KEYS = {
+    "rot_range": "rot_range_deg",
+    "prev_box_yaw_shift": "prev_box_yaw_shift_deg",
+    "speed_range": "(speed_min, speed_max)",
+}
+_USER_FIELD = re.compile(r"\b(?:" + "|".join(_USER_KEYS) + r")\b")
 
 
 @dataclass(frozen=True)
@@ -85,12 +98,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"motion must be 'mixed' or one of {MOTION_MODELS}, got {self.motion!r}"
             )
+        if self.n_tracklets < 1:
+            raise ConfigError(f"n_tracklets must be at least 1, got {self.n_tracklets}")
         try:
             self.scene_template()
             self.model_config()
             self.train_config()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(_USER_FIELD.sub(lambda m: _USER_KEYS[m.group(0)], str(exc))) from exc
 
     # -- derived module configs ------------------------------------------
 
@@ -140,7 +155,7 @@ class ExperimentConfig:
             merged.update(PRESETS[preset])
         if config_file is not None:
             try:
-                raw = json.loads(open(config_file, "r", encoding="utf-8").read())
+                raw = json.loads(Path(config_file).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             except json.JSONDecodeError as exc:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from lidartrack.geometry import RTM, Box3D
+from lidartrack.geometry import RTM, Box3D, points_in_box
 from lidartrack.pointcloud import Frame
 
 __all__ = [
@@ -79,10 +80,28 @@ def is_dynamic(m: RTM) -> bool:
 
 @dataclass(frozen=True)
 class TrainingPair:
+    """Two consecutive frames of one tracklet and their ground-truth boxes."""
+
     prev_frame: Frame
     cur_frame: Frame
     prev_box: Box3D
     cur_box: Box3D
+
+    @cached_property
+    def target_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each frame's rows inside its own box.
+
+        They depend on the pair only, so they are computed at first use and
+        kept, read-only, for the pair's lifetime: every epoch that
+        re-augments the pair reads the same masks.
+        """
+        masks = (
+            points_in_box(self.prev_frame.points, self.prev_box),
+            points_in_box(self.cur_frame.points, self.cur_box),
+        )
+        for mask in masks:
+            mask.flags.writeable = False
+        return masks
 
 
 def make_training_pairs(tracklets: Sequence[Tracklet]) -> list[TrainingPair]:

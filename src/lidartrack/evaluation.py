@@ -51,6 +51,7 @@ __all__ = [
     "ZeroMotionTracker",
     "distractor_protocol",
     "export_predictions",
+    "mean_wall_ms",
     "precision_auc",
     "render_report",
     "run_ope",
@@ -247,6 +248,11 @@ def _failure_trace(n_frames: int) -> tuple[tuple[float, ...], tuple[float, ...]]
     return overlaps, errors
 
 
+def mean_wall_ms(wall_ms: Sequence[float]) -> float:
+    """Mean wall time per tracked frame, 0 for no frames."""
+    return sum(wall_ms) / len(wall_ms) if wall_ms else 0.0
+
+
 def _build_report(
     tracker_name: str,
     tracklets: Sequence[Tracklet],
@@ -282,7 +288,7 @@ def _build_report(
         precision=precision,
         n_frames=n_frames,
         n_tracklets=len(tracklets),
-        mean_wall_ms=sum(wall_ms) / len(wall_ms) if wall_ms else 0.0,
+        mean_wall_ms=mean_wall_ms(wall_ms),
         traces=traces,
         failures=failures,
     )

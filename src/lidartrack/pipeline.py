@@ -118,7 +118,7 @@ COORD_SCALE = 0.05
 
 
 class DegenerateTargetError(RuntimeError):
-    """No usable target points remain, even after the prior fallback."""
+    """Stage one was given no target points."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +138,30 @@ def canonical_features(st: STCloud, b_prev: Box3D) -> np.ndarray:
     return feats
 
 
-def prior_target_mask(st: STCloud, b_prev: Box3D, margin: float = DEFAULT_MARGIN) -> np.ndarray:
-    """Motion-free target guess: previous points inside the previous box,
-    current points inside the same box enlarged by ``margin``."""
-    enlarged = Box3D(center=b_prev.center, size=b_prev.size + 2.0 * margin, yaw=b_prev.yaw)
-    prev_rows = st.prev_rows
-    inside_prev = points_in_box(st.xyz, b_prev)
-    inside_near = points_in_box(st.xyz, enlarged)
-    return np.where(prev_rows, inside_prev, inside_near)
+def _rows_in_boxes(st: STCloud, prev_box: Box3D, cur_box: Box3D) -> np.ndarray:
+    """Each row inside its own frame's box: previous rows in ``prev_box``,
+    current rows in ``cur_box``."""
+    return np.where(st.prev_rows, points_in_box(st.xyz, prev_box), points_in_box(st.xyz, cur_box))
 
 
-def _with_prior_fallback(
-    mask: np.ndarray, st: STCloud, b_prev: Box3D, margin: float = DEFAULT_MARGIN
-) -> tuple[np.ndarray, bool]:
+def prior_target_mask(st: STCloud) -> np.ndarray:
+    """Motion-free target guess, read from the prior-targetness channel:
+    previous points inside the previous box and every current point.
+
+    The crop already holds the current points to the previous box plus its
+    margin, and it is never empty, so neither is this mask.
+    """
+    return st.targetness > 0
+
+
+def _with_prior_fallback(mask: np.ndarray, st: STCloud) -> tuple[np.ndarray, bool]:
     """The given target mask, or the prior mask when it selects nothing.
 
-    Returns the mask in use and whether it is the prior; raises
-    ``DegenerateTargetError`` when the prior is empty too.
+    Returns the mask in use and whether it is the prior.
     """
     if mask.any():
         return mask, False
-    prior = prior_target_mask(st, b_prev, margin)
-    if not prior.any():
-        raise DegenerateTargetError("no target points under either the predicted or prior mask")
-    return prior, True
+    return prior_target_mask(st), True
 
 
 def _segment(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
@@ -170,16 +170,14 @@ def _segment(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
     return logits.data.argmax(axis=1) == 1
 
 
-def segment_target(
-    st: STCloud, model: Model, b_prev: Box3D, margin: float = DEFAULT_MARGIN
-) -> np.ndarray:
+def segment_target(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
     """Boolean target mask over the joined cloud.
 
     Argmax of the per-point logits; an all-background prediction falls back
-    to the prior mask, and an empty prior raises ``DegenerateTargetError``.
+    to the prior mask of the targetness channel (:func:`prior_target_mask`).
     """
     with no_grad():
-        return _with_prior_fallback(_segment(st, model, b_prev), st, b_prev, margin)[0]
+        return _with_prior_fallback(_segment(st, model, b_prev), st)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +346,10 @@ def track_frame(
     """Estimate the current-frame box from one frame pair.
 
     Degenerate inputs degrade gracefully: an empty previous crop is replaced
-    by a single synthetic point at the previous box center, an empty current
-    crop (or an empty target mask after fallback) keeps the previous box and
-    flags the frame as degenerate.
+    by a single synthetic point at the previous box center, and an empty
+    current crop keeps the previous box and flags the frame as degenerate.
+    A non-empty current crop always leaves target points: an empty mask
+    falls back to the prior mask, which holds every current point.
     """
     t0 = time.perf_counter()
     with no_grad():
@@ -372,10 +371,7 @@ def track_frame(
                 raise ValueError(f"override mask length {mask.shape[0]} != cloud size {len(st)}")
         else:
             mask = _segment(st, model, b_prev)
-        try:
-            mask, fallback = _with_prior_fallback(mask, st, b_prev, margin)
-        except DegenerateTargetError:
-            return b_prev, FrameDiagnostics.since(t0, degenerate=True)
+        mask, fallback = _with_prior_fallback(mask, st)
 
         targets = st.points[mask]
         if overrides is not None and overrides.stage1_fn is not None:
@@ -468,9 +464,7 @@ def make_oracle_overrides(tracklet: Tracklet) -> TrackOverrides:
     boxes = tracklet.gt_boxes
 
     def segment(i: int, st: STCloud, b_prev: Box3D) -> np.ndarray:
-        inside_prev = points_in_box(st.xyz, boxes[i - 1])
-        inside_cur = points_in_box(st.xyz, boxes[i])
-        return np.where(st.prev_rows, inside_prev, inside_cur)
+        return _rows_in_boxes(st, boxes[i - 1], boxes[i])
 
     def stage1(i: int, targets: np.ndarray, b_prev: Box3D) -> Stage1Output:
         m = infer_rtm(boxes[i - 1], boxes[i])
@@ -564,29 +558,17 @@ class PairForward:
         return self.rtm4.data.shape[0]
 
 
-def _target_masks(pair: TrainingPair) -> tuple[np.ndarray, np.ndarray]:
-    """Each frame's points inside its own box: they depend on the pair only."""
-    return (
-        points_in_box(pair.prev_frame.points, pair.prev_box),
-        points_in_box(pair.cur_frame.points, pair.cur_box),
-    )
-
-
 def prepare_pair_example(
-    pair: TrainingPair,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    target_masks: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    pair: TrainingPair, cfg: TrainConfig, rng: np.random.Generator
 ) -> Optional[PairExample]:
     """Augment, perturb, crop, and label one training pair.
 
-    ``target_masks`` are the pair's raw per-frame target masks, when the
-    caller has them already.  Returns None when a crop region is empty, so
-    callers simply drop the pair for this epoch.
+    Returns None when a crop region is empty, so callers simply drop the
+    pair for this epoch.
     """
     prev_pts = pair.prev_frame.points
     cur_pts = pair.cur_frame.points
-    prev_target, cur_target = target_masks if target_masks is not None else _target_masks(pair)
+    prev_target, cur_target = pair.target_masks
     aug_prev, gt_prev, aug_cur, gt_cur, _ = motion_augment(
         prev_pts[prev_target], pair.prev_box, cur_pts[cur_target], pair.cur_box, cfg.augment, rng
     )
@@ -609,9 +591,7 @@ def prepare_pair_example(
         return None
 
     st = with_channels(build_st_cloud(prev_crop, cur_crop), b_prev)
-    seg_labels = np.where(
-        st.prev_rows, points_in_box(st.xyz, gt_prev), points_in_box(st.xyz, gt_cur)
-    ).astype(np.int64)
+    seg_labels = _rows_in_boxes(st, gt_prev, gt_cur).astype(np.int64)
     rtm_target = infer_rtm(gt_prev, gt_cur)
     return PairExample(
         st=st,
@@ -641,33 +621,22 @@ def _aligned_vec4(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_batch(
-    examples: Sequence[PairExample], model: Model, margin: float = DEFAULT_MARGIN
-) -> Optional[PairForward]:
+def forward_batch(examples: Sequence[PairExample], model: Model) -> PairForward:
     """Build one stage-one and one stage-two graph over prepared pairs.
 
     Both stages run over all pairs' points at once and pool per pair, so
-    every returned node holds one row per surviving pair.  Training
+    every returned node holds one row per pair.  Training
     teacher-forces the structure the losses cannot supervise directly: the
     stage inputs use the ground-truth target mask and the static/dynamic
     branch follows the ground-truth motion label, while the motion values
     themselves stay predicted.  Inference runs the same stage code with the
-    predicted mask and predicted branch.  A pair whose mask is empty even
-    after the prior fallback is dropped; returns None when none survive.
+    predicted mask and predicted branch.  A pair with no target label falls
+    back to the prior mask, as inference does.
     """
-    kept, masks = [], []
-    for ex in examples:
-        try:
-            mask, _ = _with_prior_fallback(ex.seg_labels.astype(bool), ex.st, ex.b_prev, margin)
-        except DegenerateTargetError:
-            continue
-        kept.append(ex)
-        masks.append(mask)
-    if not kept:
-        return None
-    labels = np.array([ex.motion_label for ex in kept], dtype=np.int64)
-    targets = [ex.features[mask, :4] for ex, mask in zip(kept, masks)]
-    b_prevs = [ex.b_prev for ex in kept]
+    masks = [_with_prior_fallback(ex.seg_labels.astype(bool), ex.st)[0] for ex in examples]
+    labels = np.array([ex.motion_label for ex in examples], dtype=np.int64)
+    targets = [ex.features[mask, :4] for ex, mask in zip(examples, masks)]
+    b_prevs = [ex.b_prev for ex in examples]
     g = _stage1(np.vstack(targets), [len(t) for t in targets], b_prevs, model, dynamic=labels == 1)
 
     # static pairs take no motion: their rows of rtm4 pass through zeros
@@ -676,18 +645,18 @@ def forward_batch(
 
     # the merge geometry is driven by predicted motion values; only the
     # stage-two output vectors carry gradient here
-    split = [split_by_time(ex.st, mask) for ex, mask in zip(kept, masks)]
+    split = [split_by_time(ex.st, mask) for ex, mask in zip(examples, masks)]
     residual = _stage2(split, g.outputs, model)
     box2_4 = add_const(residual, _box4([out.coarse_box for out in g.outputs]))
 
-    gt_cur = _box4([ex.gt_cur for ex in kept])
+    gt_cur = _box4([ex.gt_cur for ex in examples])
     return PairForward(
         motion_logits=g.logits,
         motion_label=labels,
         rtm4=g.rtm4,
-        rtm_target=_aligned_vec4(np.array([ex.rtm_target.as_vector() for ex in kept]), g.rtm4.data),
+        rtm_target=_aligned_vec4(np.array([ex.rtm_target.as_vector() for ex in examples]), g.rtm4.data),
         refine4=g.refine4,
-        refine_target=_aligned_vec4(np.array([ex.refine_target.as_vector() for ex in kept]), g.refine4.data),
+        refine_target=_aligned_vec4(np.array([ex.refine_target.as_vector() for ex in examples]), g.refine4.data),
         box1_4=box1_4,
         box1_target=_aligned_vec4(gt_cur, box1_4.data),
         box2_4=box2_4,
@@ -696,17 +665,13 @@ def forward_batch(
     )
 
 
-def forward_pair(
-    example: PairExample, model: Model, margin: float = DEFAULT_MARGIN
-) -> Optional[PairForward]:
-    """:func:`forward_batch` of one pair; None when its mask is empty."""
-    return forward_batch([example], model, margin)
+def forward_pair(example: PairExample, model: Model) -> PairForward:
+    """:func:`forward_batch` of one pair."""
+    return forward_batch([example], model)
 
 
-def _row_mean(terms: list[tuple[Tensor, int]]) -> Optional[Tensor]:
+def _row_mean(terms: list[tuple[Tensor, int]]) -> Tensor:
     """Mean over all rows of per-record row means, each weighted by its rows."""
-    if not terms:
-        return None
     rows = sum(n for _, n in terms)
     acc = None
     for term, n in terms:
@@ -728,11 +693,14 @@ def total_loss(
     Each pair term is the mean over all rows of all records, so B one-row
     records give the same loss as one B-row record.  Returns the scalar
     loss node and a float breakdown whose entries are the unweighted
-    per-term means; the weighted sum reproduces ``total`` exactly.
+    per-term means; the weighted sum reproduces ``total`` exactly.  At
+    least one record is needed.
     """
+    if not pairs:
+        raise ValueError("total_loss needs at least one pair record")
     cls_target = cross_entropy(seg_logits, seg_labels)
 
-    def mean(term) -> Optional[Tensor]:
+    def mean(term) -> Tensor:
         return _row_mean([(term(p), p.rows) for p in pairs])
 
     cls_motion = mean(lambda p: cross_entropy(p.motion_logits, np.asarray(p.motion_label).reshape(-1)))
@@ -741,25 +709,20 @@ def total_loss(
     reg_stage1 = mean(lambda p: huber(p.box1_4, p.box1_target))
     reg_stage2 = mean(lambda p: huber(p.box2_4, p.box2_target))
 
-    total = scale(cls_target, lambda_cls_target)
-    if cls_motion is not None:
-        total = add(total, scale(cls_motion, lambda_cls_motion))
-        reg_sum = add(add(reg_motion, reg_refine), add(reg_stage1, reg_stage2))
-        total = add(total, scale(reg_sum, lambda_reg))
+    total = add(scale(cls_target, lambda_cls_target), scale(cls_motion, lambda_cls_motion))
+    reg_sum = add(add(reg_motion, reg_refine), add(reg_stage1, reg_stage2))
+    total = add(total, scale(reg_sum, lambda_reg))
 
-    def val(t: Optional[Tensor]) -> float:
-        return float(t.item()) if t is not None else 0.0
-
-    terms = {
-        "cls_target": val(cls_target),
-        "cls_motion": val(cls_motion),
-        "reg_motion": val(reg_motion),
-        "reg_refine_prev": val(reg_refine),
-        "reg_stage1": val(reg_stage1),
-        "reg_stage2": val(reg_stage2),
-        "total": float(total.item()),
+    parts = {
+        "cls_target": cls_target,
+        "cls_motion": cls_motion,
+        "reg_motion": reg_motion,
+        "reg_refine_prev": reg_refine,
+        "reg_stage1": reg_stage1,
+        "reg_stage2": reg_stage2,
+        "total": total,
     }
-    return total, terms
+    return total, {key: float(t.item()) for key, t in parts.items()}
 
 
 def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list[dict]:
@@ -779,7 +742,6 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
         raise ValueError("no training pairs")
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
-    target_masks: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     prepared: Optional[list[Optional[PairExample]]] = None
     metrics: list[dict] = []
 
@@ -789,15 +751,12 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
         lr = scheduled_lr(cfg, epoch)
         opt.lr = lr
         if prepared is None or cfg.resample_each_epoch:
-            if target_masks is None:
-                target_masks = [_target_masks(pair) for pair in pairs]
             prep_key = epoch if cfg.resample_each_epoch else 0
             prepared = [
                 prepare_pair_example(
                     pair,
                     cfg,
                     np.random.default_rng(np.random.SeedSequence([cfg.seed, prep_key, 1, i])),
-                    target_masks[i],
                 )
                 for i, pair in enumerate(pairs)
             ]
@@ -820,13 +779,10 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
                 feats = np.vstack([ex.features for ex in examples])
                 labels = np.concatenate([ex.seg_labels for ex in examples])
                 logits = segment_forward_batched(feats, model, batch=len(examples))
-                fwd = forward_batch(examples, model, cfg.margin)
-                fwds = [] if fwd is None else [fwd]
-                n_skipped += len(examples) - sum(f.rows for f in fwds)
                 loss, terms = total_loss(
                     logits,
                     labels,
-                    fwds,
+                    [forward_batch(examples, model)],
                     lambda_cls_target=cfg.lambda_cls_target,
                     lambda_cls_motion=cfg.lambda_cls_motion,
                     lambda_reg=cfg.lambda_reg,
@@ -847,7 +803,7 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
             n_batches += 1
 
         denom = max(n_batches, 1)
-        row = {"epoch": epoch, "lr": lr, "n_batches": n_batches, "n_skipped_pairs": int(n_skipped)}
+        row = {"epoch": epoch, "lr": lr, "n_batches": n_batches, "n_skipped_pairs": n_skipped}
         row["loss"] = sums.get("total", 0.0) / denom
         for key in ("cls_target", "cls_motion", "reg_motion", "reg_refine_prev", "reg_stage1", "reg_stage2"):
             row[key] = sums.get(key, 0.0) / denom

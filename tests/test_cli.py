@@ -11,6 +11,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_sources(overrides={"lr": -1.0})
 
+    def test_config_file_is_closed(self, tmp_path):
+        path = write_config(tmp_path / "c.json", seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ExperimentConfig.from_sources(config_file=path)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]\n", encoding="utf-8")
@@ -112,7 +120,21 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("category", "truck"), ("point_widths", []), ("epochs", 0), ("flip_prob", 2.0), ("noise_sigma", -1.0)],
+        [
+            ("category", "truck"),
+            ("point_widths", []),
+            ("epochs", 0),
+            ("flip_prob", 2.0),
+            ("noise_sigma", -1.0),
+            # converted keys name the key the user wrote, not the module field
+            ("rot_range_deg", -1.0),
+            ("prev_box_yaw_shift_deg", -2.0),
+            ("speed_min", 3.0),
+            ("speed_max", -1.0),
+            # checked by the config itself, which owns the key
+            ("n_tracklets", 0),
+            ("n_tracklets", -3),
+        ],
     )
     def test_module_checks_surface_as_config_errors(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -175,6 +197,14 @@ class TestGenerate:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert "epochz" in err["message"]
+
+    def test_no_tracklets_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_tracklets=0)
+        out = tmp_path / "ds"
+        assert main(["generate", "--out", str(out), "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "n_tracklets" in err["message"]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -183,6 +183,17 @@ class TestTrainingPairs:
         t = generate_synthetic_tracklet(SceneSpec(n_frames=1, seed=12))
         assert make_training_pairs([t]) == []
 
+    def test_pair_owns_its_target_masks(self):
+        t = generate_synthetic_tracklet(SceneSpec(n_frames=3, n_distractors=2, seed=13))
+        pair = make_training_pairs([t])[1]
+        prev_mask, cur_mask = pair.target_masks
+        np.testing.assert_array_equal(prev_mask, points_in_box(pair.prev_frame.points, pair.prev_box))
+        np.testing.assert_array_equal(cur_mask, points_in_box(pair.cur_frame.points, pair.cur_box))
+        assert prev_mask.any() and not prev_mask.all()
+        assert not prev_mask.flags.writeable and not cur_mask.flags.writeable
+        again = pair.target_masks
+        assert again[0] is prev_mask and again[1] is cur_mask
+
     def test_dynamic_threshold(self):
         b0 = Box3D(center=[0, 0, 0.8], size=CAR_SIZE, yaw=0.0)
 

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lidartrack import pipeline
 from lidartrack.augment import AugmentConfig
 from lidartrack.config import ExperimentConfig
 from lidartrack.data import SceneSpec, generate_synthetic_tracklet, make_synthetic_dataset, make_training_pairs
@@ -55,7 +56,7 @@ from lidartrack.pipeline import (
     track_sequence,
     train,
 )
-from lidartrack.pointcloud import Frame, build_st_cloud, split_by_time, with_channels
+from lidartrack.pointcloud import Frame, build_st_cloud, crop_and_sample, split_by_time, with_channels
 
 NO_AUG = AugmentConfig(
     flip_prob=0.0, rot_range=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift=0.0
@@ -83,12 +84,16 @@ def moving_tracklet(n_frames=6, seed=0, k=0):
     return generate_synthetic_tracklet(spec)
 
 
-def st_for_pair(tracklet, i, b_prev, n=256, seed=0):
-    from lidartrack.pointcloud import crop_and_sample
-
-    prev = crop_and_sample(tracklet.frames[i - 1], b_prev, n=n, rng_seed=seed)
-    cur = crop_and_sample(tracklet.frames[i], b_prev, n=n, rng_seed=seed + 1)
+def st_for_pair(tracklet, i, b_prev, n=256, seed=0, margin=2.0):
+    prev = crop_and_sample(tracklet.frames[i - 1], b_prev, margin=margin, n=n, rng_seed=seed)
+    cur = crop_and_sample(tracklet.frames[i], b_prev, margin=margin, n=n, rng_seed=seed + 1)
     return with_channels(build_st_cloud(prev, cur), b_prev)
+
+
+def all_background(model: Model) -> Model:
+    zero_final(model.seg_head)
+    model.seg_head.layers[-1][1].data[0] = 100.0  # every point classified background
+    return model
 
 
 class TestSegmentTarget:
@@ -102,11 +107,8 @@ class TestSegmentTarget:
         t = moving_tracklet()
         b_prev = t.gt_boxes[0]
         st = st_for_pair(t, 1, b_prev)
-        model = model32()
-        zero_final(model.seg_head)
-        model.seg_head.layers[-1][1].data[0] = 100.0  # every point classified background
-        mask = segment_target(st, model, b_prev)
-        np.testing.assert_array_equal(mask, prior_target_mask(st, b_prev))
+        mask = segment_target(st, all_background(model32()), b_prev)
+        np.testing.assert_array_equal(mask, prior_target_mask(st))
         assert mask.any()
 
     def test_all_target_logits_select_everything(self):
@@ -117,16 +119,19 @@ class TestSegmentTarget:
         model.seg_head.layers[-1][1].data[1] = 100.0
         assert segment_target(st, model, t.gt_boxes[0]).all()
 
-    def test_empty_prior_is_degenerate(self):
-        t = moving_tracklet()
-        far = Box3D(center=[500.0, 500.0, 0.8], size=[1.8, 4.0, 1.6], yaw=0.0)
-        # build a cloud around the true box, then ask about a far-away prior
-        st = st_for_pair(t, 1, t.gt_boxes[0])
-        model = model32()
-        zero_final(model.seg_head)
-        model.seg_head.layers[-1][1].data[0] = 100.0
-        with pytest.raises(DegenerateTargetError):
-            segment_target(st, model, far)
+    def test_fallback_holds_every_current_row(self):
+        # the prior is the targetness channel: previous rows inside the
+        # previous box, and every current row the crop kept, whatever the
+        # margin it was cropped at
+        t = moving_tracklet(k=3)
+        b_prev = t.gt_boxes[0]
+        st = st_for_pair(t, 1, b_prev, margin=5.0)
+        near = Box3D(center=b_prev.center, size=b_prev.size + 4.0, yaw=b_prev.yaw)
+        assert not points_in_box(st.xyz[~st.prev_rows], near).all()  # rows beyond 2 m
+        mask = segment_target(st, all_background(model32()), b_prev)
+        prev = st.prev_rows
+        np.testing.assert_array_equal(mask[prev], points_in_box(st.xyz[prev], b_prev))
+        assert mask[~prev].all()
 
 
 class TestStage1Predict:
@@ -382,6 +387,11 @@ class TestTotalLoss:
         assert abs(loss.item() - want) < 1e-12
         assert all(v >= 0 for v in terms.values())
 
+    def test_needs_a_record(self):
+        seg_logits, labels = dummy_seg(np.random.default_rng(19))
+        with pytest.raises(ValueError, match="at least one"):
+            total_loss(seg_logits, labels, [])
+
     def test_lambda_linearity(self):
         rng = np.random.default_rng(18)
         seg_logits, labels = dummy_seg(rng)
@@ -443,20 +453,43 @@ class TestTraining:
             assert sum(row[key] for key in PHASE_KEYS) <= epoch_walls[-1]
         assert sum(epoch_walls) <= wall
 
-    def test_cached_target_masks_prepare_the_same_example(self):
-        pair = self.toy_pairs(n_frames=3)[1]
-        cfg = self.toy_config(augment=AugmentConfig())
-        masks = (
-            points_in_box(pair.prev_frame.points, pair.prev_box),
-            points_in_box(pair.cur_frame.points, pair.cur_box),
-        )
-        a = prepare_pair_example(pair, cfg, np.random.default_rng(3))
-        b = prepare_pair_example(pair, cfg, np.random.default_rng(3), masks)
-        for name in ("features", "seg_labels"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        for name in ("b_prev", "gt_cur", "rtm_target", "refine_target"):
-            np.testing.assert_array_equal(getattr(a, name).as_vector(), getattr(b, name).as_vector())
-        assert a.motion_label == b.motion_label
+    def test_empty_labels_feed_stage_one_every_current_row(self, monkeypatch):
+        # toy_config crops at 5 m; the fallback keeps every current row of
+        # that crop, on the one-pair path and inside train alike
+        cfg = self.toy_config(epochs=1)
+        pairs = self.toy_pairs(n_frames=4)
+        stage1_forward = pipeline.stage1_forward
+        fed = []
+
+        def spy(canon_xyzt, model, sizes):
+            fed.append((canon_xyzt, sizes))
+            return stage1_forward(canon_xyzt, model, sizes)
+
+        monkeypatch.setattr(pipeline, "stage1_forward", spy)
+
+        def unlabeled(ex):
+            return replace(ex, seg_labels=np.zeros_like(ex.seg_labels))
+
+        ex = unlabeled(prepare_pair_example(pairs[0], cfg, np.random.default_rng(0)))
+        forward_pair(ex, model32())
+        (canon, _), = fed
+        n_cur = int((~ex.st.prev_rows).sum())
+        assert int((canon[:, 3] > 0).sum()) == n_cur
+        assert len(canon) == int((ex.st.targetness > 0).sum())
+
+        prepare = pipeline.prepare_pair_example
+        prepared = []
+
+        def prepare_unlabeled(*args):
+            prepared.append(unlabeled(prepare(*args)))
+            return prepared[-1]
+
+        monkeypatch.setattr(pipeline, "prepare_pair_example", prepare_unlabeled)
+        fed.clear()
+        train(model32(seed=1), pairs, cfg)
+        (canon, sizes), = fed
+        assert sorted(sizes) == sorted(int((ex.st.targetness > 0).sum()) for ex in prepared)
+        assert int((canon[:, 3] > 0).sum()) == sum(int((~ex.st.prev_rows).sum()) for ex in prepared)
 
     def test_metrics_carry_lr(self):
         pairs = self.toy_pairs(n_frames=3)
@@ -478,12 +511,11 @@ class TestTraining:
         ex = prepare_pair_example(pairs[0], cfg, rng)
         assert ex is not None
         fwd = forward_pair(ex, model)
-        assert fwd is not None
         # same mask, same prev box: the inference entry points run the same
         # stage code the training graph used
         mask = ex.seg_labels.astype(bool)
         if not mask.any():
-            mask = prior_target_mask(ex.st, ex.b_prev)
+            mask = prior_target_mask(ex.st)
         s1 = stage1_predict(ex.st.points[mask], ex.b_prev, model)
         (train_s1,) = fwd.stage1
         np.testing.assert_array_equal(s1.refined_prev_box.as_vector(), train_s1.refined_prev_box.as_vector())
@@ -524,19 +556,15 @@ def without_timings(row: dict) -> dict:
 
 
 def desk_batch() -> tuple[ExperimentConfig, list]:
-    """One desk batch with both motion labels, unequal target counts, one
-    pair that falls back to the prior mask and one that is dropped."""
+    """One desk batch with both motion labels, unequal target counts and
+    one pair that falls back to the prior mask."""
     cfg = ExperimentConfig.from_sources(preset="desk")
     tc = cfg.train_config()
     tracklets = make_synthetic_dataset(3, cfg.scene_template(), master_seed=7, motions=cfg.motion_cycle())
     pairs = make_training_pairs(tracklets)[: tc.batch_size]
     examples = [prepare_pair_example(p, tc, np.random.default_rng([7, i])) for i, p in enumerate(pairs)]
     examples = [ex for ex in examples if ex is not None]
-    no_target = np.zeros_like(examples[2].seg_labels)
-    far = examples[3].b_prev
-    far = Box3D(center=far.center + 100.0, size=far.size, yaw=far.yaw)
-    examples[2] = replace(examples[2], seg_labels=no_target)
-    examples[3] = replace(examples[3], seg_labels=no_target, b_prev=far)
+    examples[2] = replace(examples[2], seg_labels=np.zeros_like(examples[2].seg_labels))
     return cfg, examples
 
 
@@ -546,10 +574,8 @@ class TestForwardBatch:
         model = Model(cfg.model_config())
         assert {ex.motion_label for ex in examples} == {0, 1}
         assert len({int(ex.seg_labels.sum()) for ex in examples}) > 1
-        assert forward_pair(examples[2], model) is not None  # prior-mask fallback
-        assert forward_pair(examples[3], model) is None  # dropped
         fwd = forward_batch(examples, model)
-        assert fwd.rows == len(examples) - 1
+        assert fwd.rows == len(examples)
         # stage one's box rows are the coarse boxes: the motion is added on
         # the dynamic rows only
         coarse = np.array([[*s1.coarse_box.center, s1.coarse_box.yaw] for s1 in fwd.stage1])
@@ -582,9 +608,9 @@ class TestForwardBatch:
             return loss.item(), [p.grad.copy() for p in params]
 
         per_pair, per_pair_grads = loss_and_grads(
-            lambda: [f for f in (forward_pair(ex, model) for ex in examples) if f is not None]
+            lambda: [forward_pair(ex, model) for ex in examples]
         )
-        # one record, and two records of unequal rows (9 and 22 pairs)
+        # one record, and two records of unequal rows (10 and 22 pairs)
         for records in (
             lambda: [forward_batch(examples, model)],
             lambda: [forward_batch(examples[:10], model), forward_batch(examples[10:], model)],
