@@ -3,15 +3,18 @@
 Layout under a root directory:
 
     manifest.json                      format version + tracklet index with split tags
-    <tracklet-dir>/meta.json           id, category, source, timestamps, boxes, distractor boxes
+    <tracklet-dir>/meta.json           id, category, source, timestamps, boxes
     <tracklet-dir>/points_000.bin      packed little-endian float32, xyz per point
 
 Boxes live in JSON (lossless for float64 via repr-style serialization);
 point coordinates are quantized to float32 by the binary files, so a first
 write is lossy at most to that precision and every later round-trip is
-bit-stable.  Only what the boxes cannot give is stored: the target motion
-and its masks follow from the boxes.  Version 1 files, which also held
-target masks, RTMs and dynamic flags, still read; those fields are ignored.
+bit-stable.  Training and evaluation need only frames and boxes: the
+target motion and its masks follow from the boxes, so no generator ground
+truth is stored and a tracklet reads back without an oracle.  Files that
+still hold an ``oracle`` block (version 1 with target masks, RTMs, dynamic
+flags and distractor tracks; early version 2 with distractor tracks) read,
+and the block is ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lidartrack.data.tracklets import Tracklet, TrackletOracle
+from lidartrack.data.tracklets import Tracklet
 from lidartrack.geometry import Box3D
 from lidartrack.pointcloud import Frame
 
@@ -61,6 +64,8 @@ def _naming(path: Path):
 
 def _load_json(path: Path) -> dict:
     doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"top level is a JSON {type(doc).__name__}, not an object")
     if doc.get("format_version") not in _READABLE_VERSIONS:
         raise ValueError(f"unsupported format version {doc.get('format_version')}")
     return doc
@@ -85,8 +90,6 @@ def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str,
             "timestamps": [f.timestamp for f in t.frames],
             "boxes": _box_list(t.gt_boxes),
         }
-        if t.oracle is not None:
-            meta["oracle"] = {"distractor_boxes": [_box_list(track) for track in t.oracle.distractor_boxes]}
         (tdir / "meta.json").write_text(json.dumps(meta) + "\n", encoding="utf-8")
         for i, frame in enumerate(t.frames):
             data = frame.points.astype("<f4").tobytes()
@@ -117,14 +120,10 @@ def _read_tracklet(tdir: Path) -> Tracklet:
         meta = _load_json(meta_path)
         timestamps = [int(ts) for ts in meta["timestamps"]]
         boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
-        oracle = None
-        if "oracle" in meta:  # a v1 oracle's masks, RTMs and flags are ignored
-            tracks = meta["oracle"]["distractor_boxes"]
-            oracle = TrackletOracle(distractor_boxes=[[Box3D.from_vector(v) for v in track] for track in tracks])
     frames = tuple(_read_frame(tdir / f"points_{i:03d}.bin", ts) for i, ts in enumerate(timestamps))
     with _naming(meta_path):  # a box count that does not match the frames
         return Tracklet(id=meta["id"], frames=frames, gt_boxes=boxes,
-                        category=meta["category"], source=meta["source"], oracle=oracle)
+                        category=meta["category"], source=meta["source"])
 
 
 def read_native(root, split: Optional[str] = None) -> list[Tracklet]:
@@ -132,17 +131,13 @@ def read_native(root, split: Optional[str] = None) -> list[Tracklet]:
     root = Path(root)
     manifest_path = root / "manifest.json"
     if manifest_path.is_file():
-        with _naming(manifest_path):
-            entries = _load_json(manifest_path)["tracklets"]
+        with _naming(manifest_path):  # (directory, split tag) per entry
+            entries = []
+            for i, entry in enumerate(_load_json(manifest_path)["tracklets"]):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"tracklets entry {i} is a JSON {type(entry).__name__}, not an object")
+                entries.append((entry["dir"], entry.get("split", "train")))
     else:
         # no manifest: scan for tracklet directories; empty dir is fine
-        entries = [
-            {"dir": p.parent.name, "id": p.parent.name, "split": "train"}
-            for p in sorted(root.glob("*/meta.json"))
-        ]
-    out = []
-    for entry in entries:
-        if split is not None and entry.get("split", "train") != split:
-            continue
-        out.append(_read_tracklet(root / entry["dir"]))
-    return out
+        entries = [(p.parent.name, "train") for p in sorted(root.glob("*/meta.json"))]
+    return [_read_tracklet(root / name) for name, tag in entries if split is None or tag == split]

@@ -28,13 +28,15 @@ DYNAMIC_DISPLACEMENT = 0.15
 class TrackletOracle:
     """Ground truth the box track cannot give; the motion comes from the boxes.
 
-    target_masks: per frame, True for rows belonging to the target; known
-        only for generated tracklets, empty when read back from disk
+    Only the synthetic generator knows it, so only generated tracklets carry
+    it; the native format does not store it.
+
+    target_masks: per frame, True for rows belonging to the target
     distractor_boxes: one full box track per distractor object
     """
 
-    target_masks: tuple[np.ndarray, ...] = ()
-    distractor_boxes: tuple[tuple[Box3D, ...], ...] = ()
+    target_masks: tuple[np.ndarray, ...]
+    distractor_boxes: tuple[tuple[Box3D, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "target_masks", tuple(np.asarray(m, dtype=bool) for m in self.target_masks))
@@ -62,7 +64,7 @@ class Tracklet:
             raise ValueError("frame timestamps must be strictly increasing")
         if self.source not in ("synthetic", "kitti"):
             raise ValueError(f"unknown source {self.source!r}")
-        if self.oracle is not None and self.oracle.target_masks:
+        if self.oracle is not None:
             if len(self.oracle.target_masks) != len(self.frames):
                 raise ValueError("oracle masks must cover every frame")
             for mask, frame in zip(self.oracle.target_masks, self.frames):

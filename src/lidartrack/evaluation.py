@@ -437,8 +437,8 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     The file is JSON lines as written by :func:`export_predictions`; every
     listed tracklet id must exist in ``tracklets`` and cover exactly its
     frame count. Wall times of the tracked frames are taken from the file.
-    A line that is not JSON, lacks a key or holds an invalid box raises
-    ``ValueError('<path>:<line>: ...')``.
+    A line that is not JSON, lacks a key, or holds an invalid box or a
+    non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``.
     """
     tracklets = list(tracklets)
     by_id = {t.id: t for t in tracklets}
@@ -452,10 +452,13 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
             try:
                 row = json.loads(line)
                 tid = str(row["tracklet_id"])
+                wall = float(row.get("wall_ms", 0.0))
+                if not (np.isfinite(wall) and wall >= 0.0):
+                    raise ValueError(f"wall_ms must be finite and non-negative, got {wall}")
                 parsed = (
                     int(row["frame_index"]),
                     Box3D.from_vector(np.asarray(row["box"], dtype=np.float64)),
-                    float(row.get("wall_ms", 0.0)),
+                    wall,
                 )
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc

@@ -21,8 +21,8 @@ ground-truth target mask and the static/dynamic branch follows the
 ground-truth motion label, keeping the regression targets stationary while
 the segmentation and motion classifiers are still learning.  Inference takes
 the predicted mask and the predicted branch instead, and its public entry
-points (`track_frame`, `segment_target`, `stage1_predict`, `stage2_refine`)
-run under ``no_grad()``: tracking records no autograd graph.
+points (`track_frame`, `stage1_predict`, `stage2_refine`) run under
+``no_grad()``: tracking records no autograd graph.
 
 Each stage takes a batch of pairs: the encoders run over all pairs' points
 at once and pool per pair.  Training builds three graphs per batch
@@ -82,7 +82,6 @@ from lidartrack.pointcloud import (
 )
 
 __all__ = [
-    "DegenerateTargetError",
     "Stage1Output",
     "TrackOverrides",
     "TrainConfig",
@@ -91,7 +90,6 @@ __all__ = [
     "NetworkTracker",
     "canonical_features",
     "prior_target_mask",
-    "segment_target",
     "stage1_predict",
     "stage2_refine",
     "track_frame",
@@ -115,10 +113,6 @@ DEFAULT_POINTS = 1024
 # re-inflates the activations.  Outputs are NOT scaled back up; the heads
 # regress meters directly.
 COORD_SCALE = 0.05
-
-
-class DegenerateTargetError(RuntimeError):
-    """Stage one was given no target points."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +164,6 @@ def _segment(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
     return logits.data.argmax(axis=1) == 1
 
 
-def segment_target(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
-    """Boolean target mask over the joined cloud.
-
-    Argmax of the per-point logits; an all-background prediction falls back
-    to the prior mask of the targetness channel (:func:`prior_target_mask`).
-    """
-    with no_grad():
-        return _with_prior_fallback(_segment(st, model, b_prev), st)[0]
-
-
 # ---------------------------------------------------------------------------
 # Stage one: motion prediction from segmented points.
 # ---------------------------------------------------------------------------
@@ -195,7 +179,6 @@ class Stage1Output:
     """
 
     rtm: RTM
-    motion_logits: np.ndarray
     dynamic: bool
     refined_prev_box: Box3D
     coarse_box: Box3D
@@ -245,14 +228,11 @@ def _stage1(
         # index 1 is the dynamic class; argmax resolves a tie to static
         dynamic = logits.data.argmax(axis=1) == 1
     outputs = []
-    for b_prev, dyn, rtm_row, refine_row, logit_row in zip(
-        b_prevs, dynamic, rtm4.data, refine4.data, logits.data
-    ):
+    for b_prev, dyn, rtm_row, refine_row in zip(b_prevs, dynamic, rtm4.data, refine4.data):
         rtm = RTM(*rtm_row)
         refined = apply_rtm(b_prev, RTM(*refine_row))
         outputs.append(Stage1Output(
             rtm=rtm,
-            motion_logits=logit_row.astype(np.float64),
             dynamic=bool(dyn),
             refined_prev_box=refined,
             coarse_box=apply_rtm(refined, rtm) if dyn else refined,
@@ -261,10 +241,11 @@ def _stage1(
 
 
 def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
-    """Run the motion stage on segmented target points (n, 4) in world xyzt."""
+    """Run the motion stage on segmented target points (n, 4) in world xyzt.
+
+    No points raise ValueError; :func:`track_frame` always passes some.
+    """
     pts = np.asarray(targets_xyzt, dtype=np.float64).reshape(-1, 4)
-    if pts.shape[0] == 0:
-        raise DegenerateTargetError("stage one needs at least one target point")
     canon = pts.copy()
     canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
     canon *= COORD_SCALE
@@ -303,9 +284,7 @@ def _stage2(
 def stage2_refine(
     prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output, model: Model
 ) -> Box3D:
-    """Refine the coarse box from the motion-merged target points."""
-    if len(prev_xyz) + len(cur_xyz) == 0:
-        return s1.coarse_box
+    """Refine the coarse box from the motion-merged target points (at least one)."""
     with no_grad():
         residual = _stage2([(prev_xyz, cur_xyz)], [s1], model)
     return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
@@ -468,14 +447,10 @@ def make_oracle_overrides(tracklet: Tracklet) -> TrackOverrides:
 
     def stage1(i: int, targets: np.ndarray, b_prev: Box3D) -> Stage1Output:
         m = infer_rtm(boxes[i - 1], boxes[i])
-        # the logits and the branch flag follow the motion label, but the box
-        # follows the motion itself: a slow mover labeled static still moves
+        # the branch flag follows the motion label, but the box follows the
+        # motion itself: a slow mover labeled static still moves
         coarse = apply_rtm(b_prev, m) if m.as_vector().any() else b_prev
-        dynamic = is_dynamic(m)
-        logits = np.array([0.0, 1.0]) if dynamic else np.array([1.0, 0.0])
-        return Stage1Output(
-            rtm=m, motion_logits=logits, dynamic=dynamic, refined_prev_box=b_prev, coarse_box=coarse
-        )
+        return Stage1Output(rtm=m, dynamic=is_dynamic(m), refined_prev_box=b_prev, coarse_box=coarse)
 
     def stage2(i: int, prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output) -> Box3D:
         return s1.coarse_box

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lidartrack import cli
 from lidartrack.augment import AugmentConfig
 from lidartrack.cli import BASELINES, main
 from lidartrack.config import ConfigError, ExperimentConfig, PRESETS
@@ -176,12 +177,26 @@ class TestGenerate:
         assert main(["generate", "--out", str(b), "--config", cfg]) == 0
         assert tree_digest(a) == tree_digest(b)
 
-    def test_distractor_tracks_recorded(self, tmp_path):
+    def test_distractor_tracks_recorded(self, tmp_path, monkeypatch):
+        # the generated scenes hold the distractor tracks in memory; the
+        # native format stores frames and boxes only
+        written = []
+        write_native = cli.write_native
+
+        def record(dataset, root):
+            written.append(dataset)
+            write_native(dataset, root)
+
+        monkeypatch.setattr(cli, "write_native", record)
         cfg = write_config(tmp_path / "c.json", n_tracklets=2, n_frames=3, n_distractors=5)
         out = tmp_path / "ds"
         assert main(["generate", "--out", str(out), "--config", cfg]) == 0
-        for t in read_native(out):
+        (dataset,) = written
+        assert len(dataset) == 2
+        for t in dataset:
             assert len(t.oracle.distractor_boxes) == 5
+            assert all(len(track) == 3 for track in t.oracle.distractor_boxes)
+        assert [t.oracle for t in read_native(out)] == [None, None]
 
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "file"

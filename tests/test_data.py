@@ -233,45 +233,56 @@ class TestNativeFormat:
         for meta_path in sorted(tmp_path.rglob("meta.json")):
             meta = json.loads(meta_path.read_text())
             assert meta["format_version"] == 2
-            assert set(meta["oracle"]) == {"distractor_boxes"}
-            assert not {"target_masks", "rtms", "dynamic_flags"} & set(meta)
+            assert set(meta) == {"format_version", "id", "category", "source", "timestamps", "boxes"}
 
-    def test_v1_dataset_still_reads(self, tmp_path):
+    def check_oracle_block_ignored(self, tmp_path, version: int) -> None:
+        """Add the ``oracle`` block earlier writers stored (distractor tracks;
+        in version 1 also target masks and the box motion) to a fresh write:
+        it reads back as the fresh write does, bit for bit, without an
+        oracle."""
         ds = self.make_dataset()
-        write_native(ds, tmp_path / "v2")
-        write_native(ds, tmp_path / "v1")
-        # rewrite as format 1, which also held target masks and the box motion
+        assert all(len(t.oracle.distractor_boxes) == 1 for t in ds)
+        write_native(ds, tmp_path / "plain")
+        write_native(ds, tmp_path / "old")
         generated = {t.id: t for t in ds}
-        for meta_path in sorted((tmp_path / "v1").rglob("meta.json")):
+        for meta_path in sorted((tmp_path / "old").rglob("meta.json")):
             meta = json.loads(meta_path.read_text())
             t = generated[meta["id"]]
-            motions = box_motions(t)
-            meta["format_version"] = 1
-            meta["oracle"].update(
-                target_masks=[mask.astype(int).tolist() for mask in t.oracle.target_masks],
-                rtms=[[float(v) for v in m.as_vector()] for m in motions],
-                dynamic_flags=[is_dynamic(m) for m in motions],
-            )
+            oracle = {"distractor_boxes": [
+                [[float(v) for v in b.as_vector()] for b in track] for track in t.oracle.distractor_boxes
+            ]}
+            if version == 1:
+                motions = box_motions(t)
+                oracle.update(
+                    target_masks=[mask.astype(int).tolist() for mask in t.oracle.target_masks],
+                    rtms=[[float(v) for v in m.as_vector()] for m in motions],
+                    dynamic_flags=[is_dynamic(m) for m in motions],
+                )
+            meta.update(format_version=version, oracle=oracle)
             meta_path.write_text(json.dumps(meta) + "\n")
-        manifest_path = tmp_path / "v1" / "manifest.json"
+        manifest_path = tmp_path / "old" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         manifest_path.write_text(json.dumps(manifest))
 
-        v1, v2 = read_native(tmp_path / "v1"), read_native(tmp_path / "v2")
-        assert [t.id for t in v1] == [t.id for t in v2] == [t.id for t in ds]
-        for a, b, gen in zip(v1, v2, ds):
+        old, plain = read_native(tmp_path / "old"), read_native(tmp_path / "plain")
+        assert [t.id for t in old] == [t.id for t in plain] == [t.id for t in ds]
+        for a, b, gen in zip(old, plain, ds):
             for ba, bb, bg in zip(a.gt_boxes, b.gt_boxes, gen.gt_boxes):
                 np.testing.assert_array_equal(ba.as_vector(), bb.as_vector())
                 np.testing.assert_array_equal(ba.as_vector(), bg.as_vector())
             for fa, fb, fg in zip(a.frames, b.frames, gen.frames):
                 np.testing.assert_array_equal(fa.points, fb.points)
                 np.testing.assert_array_equal(fa.points, fg.points.astype(np.float32).astype(np.float64))
-            assert len(a.oracle.distractor_boxes) == len(gen.oracle.distractor_boxes) == 1
-            for ta, tb in zip(a.oracle.distractor_boxes, b.oracle.distractor_boxes):
-                for ba, bb in zip(ta, tb):
-                    np.testing.assert_array_equal(ba.as_vector(), bb.as_vector())
-            assert a.oracle.target_masks == b.oracle.target_masks == ()
+                assert fa.timestamp == fb.timestamp == fg.timestamp
+            assert a.oracle is None and b.oracle is None
+
+    def test_v1_dataset_still_reads(self, tmp_path):
+        self.check_oracle_block_ignored(tmp_path, version=1)
+
+    def test_v2_distractor_tracks_are_ignored(self, tmp_path):
+        # version 2 as written before the writer dropped distractor tracks
+        self.check_oracle_block_ignored(tmp_path, version=2)
 
     def test_boxes_survive_exactly(self, tmp_path):
         ds = self.make_dataset()
@@ -314,9 +325,21 @@ class TestNativeFormat:
         write_native(self.make_dataset(), tmp_path)
         manifest_path = tmp_path / "manifest.json"
         text = manifest_path.read_text()
-        manifest_path.write_text(text[: len(text) // 2])
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest_path))}: "):
-            read_native(tmp_path)
+        manifest = json.loads(text)
+
+        def with_entry(entry) -> str:
+            return json.dumps({**manifest, "tracklets": [entry, *manifest["tracklets"][1:]]})
+
+        first = manifest["tracklets"][0]
+        for bad, message in [
+            (text[: len(text) // 2], ""),
+            (json.dumps([manifest]), "top level is a JSON list"),
+            (with_entry(first["dir"]), "tracklets entry 0 is a JSON str"),
+            (with_entry({key: v for key, v in first.items() if key != "dir"}), "missing key 'dir'"),
+        ]:
+            manifest_path.write_text(bad)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest_path))}: {message}"):
+                read_native(tmp_path)
 
     def test_manifest_version_checked(self, tmp_path):
         write_native(self.make_dataset(), tmp_path)

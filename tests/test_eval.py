@@ -338,6 +338,10 @@ class TestScorePredictions:
             ('{"frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0]}', "missing key 'tracklet_id'"),
             ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 0, 1, 1, 0]}',
              "size components must be positive"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0], "wall_ms": NaN}',
+             "wall_ms must be finite and non-negative, got nan"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0], "wall_ms": -1.5}',
+             "wall_ms must be finite and non-negative, got -1.5"),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, line, message):

@@ -32,10 +32,18 @@ from lidartrack.geometry import (
     yaw_matrix,
 )
 from lidartrack.evaluation import export_predictions
-from lidartrack.nn import Model, ModelConfig, Tensor, backward, grad_check, segment_forward_batched, zero_grad
+from lidartrack.nn import (
+    Model,
+    ModelConfig,
+    Tensor,
+    backward,
+    grad_check,
+    segment_forward,
+    segment_forward_batched,
+    zero_grad,
+)
 from lidartrack.pipeline import (
     COORD_SCALE,
-    DegenerateTargetError,
     NetworkTracker,
     PairForward,
     Stage1Output,
@@ -48,7 +56,6 @@ from lidartrack.pipeline import (
     prepare_pair_example,
     prior_target_mask,
     scheduled_lr,
-    segment_target,
     stage1_predict,
     stage2_refine,
     total_loss,
@@ -96,28 +103,78 @@ def all_background(model: Model) -> Model:
     return model
 
 
-class TestSegmentTarget:
-    def test_mask_covers_every_row(self):
-        t = moving_tracklet()
-        st = st_for_pair(t, 1, t.gt_boxes[0])
-        mask = segment_target(st, model32(), t.gt_boxes[0])
-        assert mask.shape == (len(st),) and mask.dtype == bool
+def track_first_frame(monkeypatch, t, model, margin=2.0):
+    """`track_frame` from frame 0 to frame 1 of `t`, starting at the GT box.
 
-    def test_all_background_logits_fall_back_to_prior(self):
+    Returns the joined cloud the frame built, the rows stage one received
+    (through a recording ``stage1_fn`` that runs the network's stage one)
+    and the frame's diagnostics.
+    """
+    with_channels = pipeline.with_channels
+    clouds, fed = [], []
+
+    def record_cloud(*args):
+        clouds.append(with_channels(*args))
+        return clouds[-1]
+
+    def record_stage1(i, targets, b_prev):
+        fed.append(targets)
+        return stage1_predict(targets, b_prev, model)
+
+    monkeypatch.setattr(pipeline, "with_channels", record_cloud)
+    _, diag = track_frame(
+        t.frames[0], t.frames[1], t.gt_boxes[0], model, margin=margin, n_points=256,
+        overrides=TrackOverrides(stage1_fn=record_stage1),
+    )
+    (st,), (targets,) = clouds, fed
+    return st, targets, diag
+
+
+class TestSegmentTarget:
+    """The target rows `track_frame` hands stage one."""
+
+    def test_stage_one_gets_the_predicted_rows(self, monkeypatch):
         t = moving_tracklet()
         b_prev = t.gt_boxes[0]
-        st = st_for_pair(t, 1, b_prev)
-        mask = segment_target(st, all_background(model32()), b_prev)
-        np.testing.assert_array_equal(mask, prior_target_mask(st))
-        assert mask.any()
+        model = model32()
 
-    def test_all_target_logits_select_everything(self):
+        def target_margin(st):
+            logits = segment_forward(canonical_features(st, b_prev), model).data
+            return logits[:, 1] - logits[:, 0]
+
+        # centre the target logit's lead on a sample crop, so that about
+        # half the rows are predicted target
+        model.seg_head.layers[-1][1].data[1] -= np.median(target_margin(st_for_pair(t, 1, b_prev)))
+        st, targets, diag = track_first_frame(monkeypatch, t, model)
+        predicted = target_margin(st) > 0
+        assert 0 < predicted.sum() < len(st)
+        np.testing.assert_array_equal(targets, st.points[predicted])
+        assert not diag.fallback_mask
+        assert diag.n_prev_target + diag.n_cur_target == len(targets)
+
+    def test_all_background_logits_fall_back_to_prior(self, monkeypatch):
+        # cropped at 5 m, stage one still gets every current row of the
+        # crop, plus the previous rows inside the previous box
+        t = moving_tracklet(k=3)
+        b_prev = t.gt_boxes[0]
+        st, targets, diag = track_first_frame(monkeypatch, t, all_background(model32()), margin=5.0)
+        near = Box3D(center=b_prev.center, size=b_prev.size + 4.0, yaw=b_prev.yaw)
+        assert not points_in_box(st.xyz[~st.prev_rows], near).all()  # rows beyond 2 m
+        assert diag.fallback_mask
+        want = np.where(st.prev_rows, points_in_box(st.xyz, b_prev), True)
+        np.testing.assert_array_equal(targets, st.points[want])
+        assert (diag.n_prev_target, diag.n_cur_target) == (
+            int(want[st.prev_rows].sum()), int((~st.prev_rows).sum())
+        )
+
+    def test_all_target_logits_select_everything(self, monkeypatch):
         t = moving_tracklet()
-        st = st_for_pair(t, 1, t.gt_boxes[0])
         model = model32()
         zero_final(model.seg_head)
         model.seg_head.layers[-1][1].data[1] = 100.0
-        assert segment_target(st, model, t.gt_boxes[0]).all()
+        st, targets, diag = track_first_frame(monkeypatch, t, model)
+        np.testing.assert_array_equal(targets, st.points)
+        assert not diag.fallback_mask
 
     def test_fallback_holds_every_current_row(self):
         # the prior is the targetness channel: previous rows inside the
@@ -128,7 +185,7 @@ class TestSegmentTarget:
         st = st_for_pair(t, 1, b_prev, margin=5.0)
         near = Box3D(center=b_prev.center, size=b_prev.size + 4.0, yaw=b_prev.yaw)
         assert not points_in_box(st.xyz[~st.prev_rows], near).all()  # rows beyond 2 m
-        mask = segment_target(st, all_background(model32()), b_prev)
+        mask = prior_target_mask(st)
         prev = st.prev_rows
         np.testing.assert_array_equal(mask[prev], points_in_box(st.xyz[prev], b_prev))
         assert mask[~prev].all()
@@ -136,7 +193,7 @@ class TestSegmentTarget:
 
 class TestStage1Predict:
     def test_requires_points(self):
-        with pytest.raises(DegenerateTargetError):
+        with pytest.raises(ValueError, match="positive row counts"):
             stage1_predict(np.zeros((0, 4)), Box3D(center=[0, 0, 0], size=[1, 1, 1], yaw=0), model32())
 
     def test_permutation_invariant(self):
@@ -147,8 +204,9 @@ class TestStage1Predict:
         a = stage1_predict(pts, b, model)
         c = stage1_predict(pts[rng.permutation(40)], b, model)
         np.testing.assert_array_equal(a.coarse_box.as_vector(), c.coarse_box.as_vector())
-        np.testing.assert_array_equal(a.motion_logits, c.motion_logits)
+        np.testing.assert_array_equal(a.refined_prev_box.as_vector(), c.refined_prev_box.as_vector())
         np.testing.assert_array_equal(a.rtm.as_vector(), c.rtm.as_vector())
+        assert a.dynamic == c.dynamic
 
     def test_static_classification_freezes_box(self):
         rng = np.random.default_rng(1)
@@ -189,7 +247,6 @@ class TestStage2Refine:
     def make_s1(self, coarse):
         return Stage1Output(
             rtm=RTM(0, 0, 0, 0),
-            motion_logits=np.array([1.0, 0.0]),
             dynamic=False,
             refined_prev_box=coarse,
             coarse_box=coarse,
@@ -220,10 +277,10 @@ class TestStage2Refine:
             np.testing.assert_allclose(got.center, gt.center, atol=1e-9)
             assert abs(wrap_angle(got.yaw - gt.yaw)) < 1e-9
 
-    def test_empty_merge_passthrough(self):
+    def test_empty_merge_rejected(self):
         coarse = Box3D(center=[0, 0, 0.5], size=[1.8, 4.0, 1.6], yaw=0.0)
-        out = stage2_refine(np.zeros((0, 3)), np.zeros((0, 3)), self.make_s1(coarse), model32())
-        np.testing.assert_array_equal(out.as_vector(), coarse.as_vector())
+        with pytest.raises(ValueError, match="positive row counts"):
+            stage2_refine(np.zeros((0, 3)), np.zeros((0, 3)), self.make_s1(coarse), model32())
 
 
 class TestTrackFrame:
@@ -520,7 +577,8 @@ class TestTraining:
         (train_s1,) = fwd.stage1
         np.testing.assert_array_equal(s1.refined_prev_box.as_vector(), train_s1.refined_prev_box.as_vector())
         np.testing.assert_array_equal(s1.rtm.as_vector(), RTM(*fwd.rtm4.data[0]).as_vector())
-        np.testing.assert_array_equal(s1.motion_logits, fwd.motion_logits.data[0])
+        # inference takes the branch the training graph's logits point to
+        assert s1.dynamic == (fwd.motion_logits.data[0].argmax() == 1)
         want_coarse = (
             apply_rtm(train_s1.refined_prev_box, RTM(*fwd.rtm4.data[0]))
             if ex.motion_label
@@ -533,7 +591,6 @@ class TestTraining:
         # boxes differ only because training adds the base in float32
         s1_train = Stage1Output(
             rtm=RTM(*fwd.rtm4.data[0]),
-            motion_logits=np.eye(2)[ex.motion_label],
             dynamic=bool(ex.motion_label),
             refined_prev_box=train_s1.refined_prev_box,
             coarse_box=train_s1.coarse_box,
@@ -587,7 +644,7 @@ class TestForwardBatch:
         # training follows the motion label, wherever the logits point
         cfg, examples = desk_batch()
         fwd = forward_batch(examples, Model(cfg.model_config()))
-        predicted = [int(np.argmax(s1.motion_logits)) for s1 in fwd.stage1]
+        predicted = [int(np.argmax(row)) for row in fwd.motion_logits.data]
         assert predicted != list(fwd.motion_label)
         for s1, label in zip(fwd.stage1, fwd.motion_label):
             assert s1.dynamic == bool(label)
