@@ -133,10 +133,16 @@ def read_native(root, split: Optional[str] = None) -> list[Tracklet]:
     if manifest_path.is_file():
         with _naming(manifest_path):  # (directory, split tag) per entry
             entries = []
-            for i, entry in enumerate(_load_json(manifest_path)["tracklets"]):
+            listed = _load_json(manifest_path)["tracklets"]
+            if not isinstance(listed, list):
+                raise ValueError(f"tracklets is a JSON {type(listed).__name__}, not an array")
+            for i, entry in enumerate(listed):
                 if not isinstance(entry, dict):
                     raise ValueError(f"tracklets entry {i} is a JSON {type(entry).__name__}, not an object")
                 entries.append((entry["dir"], entry.get("split", "train")))
+                for key, value in zip(("dir", "split"), entries[-1]):
+                    if not isinstance(value, str):
+                        raise ValueError(f"tracklets entry {i} {key} is a JSON {type(value).__name__}, not a string")
     else:
         # no manifest: scan for tracklet directories; empty dir is fine
         entries = [(p.parent.name, "train") for p in sorted(root.glob("*/meta.json"))]

@@ -437,8 +437,8 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     The file is JSON lines as written by :func:`export_predictions`; every
     listed tracklet id must exist in ``tracklets`` and cover exactly its
     frame count. Wall times of the tracked frames are taken from the file.
-    A line that is not JSON, lacks a key, or holds an invalid box or a
-    non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``.
+    A line that is not JSON, lacks a key, or holds a non-integer ``frame_index``,
+    an invalid box or a non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``.
     """
     tracklets = list(tracklets)
     by_id = {t.id: t for t in tracklets}
@@ -455,8 +455,10 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
                 wall = float(row.get("wall_ms", 0.0))
                 if not (np.isfinite(wall) and wall >= 0.0):
                     raise ValueError(f"wall_ms must be finite and non-negative, got {wall}")
+                if type(row["frame_index"]) is not int:  # refuse a JSON float, string or bool
+                    raise ValueError(f"frame_index must be a JSON integer, got {row['frame_index']!r}")
                 parsed = (
-                    int(row["frame_index"]),
+                    row["frame_index"],
                     Box3D.from_vector(np.asarray(row["box"], dtype=np.float64)),
                     wall,
                 )

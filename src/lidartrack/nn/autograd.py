@@ -25,10 +25,17 @@ Inside a ``no_grad()`` block no graph is recorded: every Tensor is built
 without parents or a backward function, so op results do not require
 gradients and their inputs are freed as soon as nothing else holds them.
 Inference runs in this mode; values are the same as with recording on.
+Those prompt frees let glibc trim the heap after every frame and fault it
+back in on the next (~2,700 minor faults per frame at 1024 points), so the
+first ``no_grad()`` of a process pins glibc's mmap and trim thresholds with
+``mallopt``: the faults drop to ~0 and a 1024-point frame takes about a fifth
+less time.  This is process-global, changes no value and is a no-op off glibc.
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from contextlib import contextmanager
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
@@ -56,6 +63,24 @@ BackwardFn = Callable[[np.ndarray], tuple]
 # process-wide recording switch, flipped only by no_grad()
 _recording = True
 
+# glibc malloc thresholds, pinned once per process by the first no_grad(): 2x
+# the largest block a process that tracks and trains frees again and again, a
+# desk batch's activation (32 x 2 x 128 rows x 256 float32 = 8 MiB).
+MMAP_THRESHOLD_BYTES = 16 << 20
+TRIM_THRESHOLD_BYTES = 32 << 20
+_heap_pinned = False
+
+
+def _pin_heap() -> None:
+    """Keep freed activations on the heap across frames (glibc only)."""
+    global _heap_pinned
+    _heap_pinned = True
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, MMAP_THRESHOLD_BYTES)  # M_MMAP_THRESHOLD
+        mallopt(-1, TRIM_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
+
 
 @contextmanager
 def no_grad() -> Iterator[None]:
@@ -65,6 +90,8 @@ def no_grad() -> Iterator[None]:
     created inside the block can still be trained outside it.
     """
     global _recording
+    if not _heap_pinned:
+        _pin_heap()
     previous = _recording
     _recording = False
     try:

@@ -336,6 +336,9 @@ class TestNativeFormat:
             (json.dumps([manifest]), "top level is a JSON list"),
             (with_entry(first["dir"]), "tracklets entry 0 is a JSON str"),
             (with_entry({key: v for key, v in first.items() if key != "dir"}), "missing key 'dir'"),
+            (json.dumps({**manifest, "tracklets": 5}), "tracklets is a JSON int, not an array"),
+            (with_entry({**first, "dir": 3}), "tracklets entry 0 dir is a JSON int, not a string"),
+            (with_entry({**first, "split": 1}), "tracklets entry 0 split is a JSON int, not a string"),
         ]:
             manifest_path.write_text(bad)
             with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest_path))}: {message}"):

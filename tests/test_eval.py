@@ -342,6 +342,12 @@ class TestScorePredictions:
              "wall_ms must be finite and non-negative, got nan"),
             ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0], "wall_ms": -1.5}',
              "wall_ms must be finite and non-negative, got -1.5"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1.9, "box": [0, 0, 0, 1, 1, 1, 0]}',
+             "frame_index must be a JSON integer, got 1.9"),
+            ('{"tracklet_id": "syn-21", "frame_index": "1", "box": [0, 0, 0, 1, 1, 1, 0]}',
+             "frame_index must be a JSON integer, got '1'"),
+            ('{"tracklet_id": "syn-21", "frame_index": true, "box": [0, 0, 0, 1, 1, 1, 0]}',
+             "frame_index must be a JSON integer, got True"),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, line, message):

@@ -9,8 +9,13 @@ hand computation.
 
 from __future__ import annotations
 
+import platform
 import re
 import struct
+import subprocess
+import sys
+import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -304,6 +309,70 @@ class TestNoGrad:
             free = run()
         for got, want in zip(free, run()):
             np.testing.assert_array_equal(got, want)
+
+
+class TestHeapPin:
+    """The first no_grad() of a process pins glibc's malloc thresholds."""
+
+    def test_off_glibc_is_a_no_op(self, monkeypatch):
+        def no_ctypes(*args, **kwargs):
+            raise AssertionError("ctypes called off glibc")
+
+        monkeypatch.setattr(ag.platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2"))
+        monkeypatch.setattr(ag.ctypes, "CDLL", no_ctypes)
+        monkeypatch.setattr(ag, "_heap_pinned", False)
+        with no_grad():
+            assert not TestNoGrad.records()
+        assert TestNoGrad.records()
+        assert ag._heap_pinned
+
+    def test_each_threshold_set_once(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ag.platform, "libc_ver", lambda *args, **kwargs: ("glibc", "2.36"))
+        monkeypatch.setattr(ag.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(ag, "_heap_pinned", False)
+        for _ in range(2):
+            with no_grad():
+                pass
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+        assert calls == [(-3, ag.MMAP_THRESHOLD_BYTES), (-1, ag.TRIM_THRESHOLD_BYTES)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are pinned on glibc only")
+    def test_tracking_at_1024_points_does_not_fault_per_frame(self):
+        # a fresh process: one no_grad() earlier in this one has pinned the heap already
+        script = textwrap.dedent("""
+            import resource
+            from dataclasses import replace
+            from lidartrack.config import ExperimentConfig
+            from lidartrack.data import generate_synthetic_tracklet
+            from lidartrack.nn import Model
+            from lidartrack.pipeline import track_frame
+
+            spec = replace(ExperimentConfig.from_sources(preset="desk").scene_template(), seed=5)
+            t = generate_synthetic_tracklet(spec)
+            model = Model()
+
+            def track(i):
+                track_frame(t.frames[i - 1], t.frames[i], t.gt_boxes[i - 1], model, frame_index=i, n_points=1024)
+
+            for i in (1, 2):
+                track(i)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for i in range(3, len(t.frames)):
+                track(i)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(len(t.frames) - 3, after - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        frames, faults = (int(v) for v in proc.stdout.split())
+        assert frames >= 10
+        assert faults / frames < 50, f"{faults} minor faults over {frames} frames"
 
 
 class TestSegmentForward:
