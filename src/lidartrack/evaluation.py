@@ -77,7 +77,8 @@ class FrameDiagnostics:
 
     ``wall_ms`` is the frame's wall time as the tracker measured it.  The
     other fields describe the network's stages; trackers without them keep
-    the defaults.
+    the defaults.  ``n_prev_target`` and ``n_cur_target`` count the target
+    points stage one took from each frame's crop, each crop point once.
     """
 
     wall_ms: float

@@ -16,6 +16,7 @@ from lidartrack.nn.autograd import (
     linear,
     matmul_const,
     no_grad,
+    pin_heap,
     pooled_linear,
     relu,
     scale,
@@ -56,6 +57,7 @@ __all__ = [
     "matmul_const",
     "mlp_forward",
     "no_grad",
+    "pin_heap",
     "pooled_linear",
     "relu",
     "save_checkpoint",

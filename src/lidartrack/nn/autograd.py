@@ -28,8 +28,9 @@ Inference runs in this mode; values are the same as with recording on.
 Those prompt frees let glibc trim the heap after every frame and fault it
 back in on the next (~2,700 minor faults per frame at 1024 points), so the
 first ``no_grad()`` of a process pins glibc's mmap and trim thresholds with
-``mallopt``: the faults drop to ~0 and a 1024-point frame takes about a fifth
-less time.  This is process-global, changes no value and is a no-op off glibc.
+``mallopt`` (:func:`pin_heap`; training pins them too): the faults drop to ~0
+and a 1024-point frame takes about a fifth less time.  This is
+process-global, changes no value and is a no-op off glibc.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
+    "pin_heap",
     "backward",
     "zero_grad",
     "linear",
@@ -63,7 +65,7 @@ BackwardFn = Callable[[np.ndarray], tuple]
 # process-wide recording switch, flipped only by no_grad()
 _recording = True
 
-# glibc malloc thresholds, pinned once per process by the first no_grad(): 2x
+# glibc malloc thresholds, pinned once per process by pin_heap(): 2x
 # the largest block a process that tracks and trains frees again and again, a
 # desk batch's activation (32 x 2 x 128 rows x 256 float32 = 8 MiB).
 MMAP_THRESHOLD_BYTES = 16 << 20
@@ -71,9 +73,15 @@ TRIM_THRESHOLD_BYTES = 32 << 20
 _heap_pinned = False
 
 
-def _pin_heap() -> None:
-    """Keep freed activations on the heap across frames (glibc only)."""
+def pin_heap() -> None:
+    """Keep freed activations on the heap across frames and batches (glibc only).
+
+    Runs once per process: the first ``no_grad()`` calls it, and so does
+    ``pipeline.train``; later calls do nothing.
+    """
     global _heap_pinned
+    if _heap_pinned:
+        return
     _heap_pinned = True
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
@@ -90,8 +98,7 @@ def no_grad() -> Iterator[None]:
     created inside the block can still be trained outside it.
     """
     global _recording
-    if not _heap_pinned:
-        _pin_heap()
+    pin_heap()
     previous = _recording
     _recording = False
     try:

@@ -62,6 +62,7 @@ from lidartrack.nn import (
     huber,
     matmul_const,
     no_grad,
+    pin_heap,
     scale,
     segment_forward,
     segment_forward_batched,
@@ -75,6 +76,7 @@ from lidartrack.pointcloud import (
     STCloud,
     assemble_features,
     build_st_cloud,
+    crop_and_pad,
     crop_and_sample,
     motion_assisted_merge,
     split_by_time,
@@ -156,6 +158,17 @@ def _with_prior_fallback(mask: np.ndarray, st: STCloud) -> tuple[np.ndarray, boo
     if mask.any():
         return mask, False
     return prior_target_mask(st), True
+
+
+def _no_lone_row(x: np.ndarray) -> np.ndarray:
+    """``x`` with a lone row doubled.
+
+    numpy sends a one-row matmul to BLAS gemv, which rounds differently from
+    the gemm any longer input takes.  Two copies of a row pool to the same
+    embedding through gemm, so a stage gives one point what it gives any
+    number of that point's copies.
+    """
+    return np.repeat(x, 2, axis=0) if len(x) == 1 else x
 
 
 def _segment(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
@@ -245,7 +258,7 @@ def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Sta
 
     No points raise ValueError; :func:`track_frame` always passes some.
     """
-    pts = np.asarray(targets_xyzt, dtype=np.float64).reshape(-1, 4)
+    pts = _no_lone_row(np.asarray(targets_xyzt, dtype=np.float64).reshape(-1, 4))
     canon = pts.copy()
     canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
     canon *= COORD_SCALE
@@ -285,6 +298,8 @@ def stage2_refine(
     prev_xyz: np.ndarray, cur_xyz: np.ndarray, s1: Stage1Output, model: Model
 ) -> Box3D:
     """Refine the coarse box from the motion-merged target points (at least one)."""
+    if len(prev_xyz) + len(cur_xyz) == 1:
+        prev_xyz, cur_xyz = _no_lone_row(prev_xyz), _no_lone_row(cur_xyz)
     with no_grad():
         residual = _stage2([(prev_xyz, cur_xyz)], [s1], model)
     return apply_rtm(s1.coarse_box, RTM(*residual.data[0]))
@@ -329,6 +344,9 @@ def track_frame(
     current crop keeps the previous box and flags the frame as degenerate.
     A non-empty current crop always leaves target points: an empty mask
     falls back to the prior mask, which holds every current point.
+
+    Each crop holds at most ``n_points`` distinct points and repeats none,
+    so every per-point network runs once per distinct point.
     """
     t0 = time.perf_counter()
     with no_grad():
@@ -393,6 +411,10 @@ class NetworkTracker:
         n_points: int = DEFAULT_POINTS,
         overrides: Optional[TrackOverrides] = None,
     ):
+        if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
+            raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
+        if not 0 <= margin < np.inf:
+            raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
         self.model = model
         self.seed = seed
         self.margin = margin
@@ -538,8 +560,9 @@ def prepare_pair_example(
 ) -> Optional[PairExample]:
     """Augment, perturb, crop, and label one training pair.
 
-    Returns None when a crop region is empty, so callers simply drop the
-    pair for this epoch.
+    Each crop is padded to exactly ``cfg.n_points`` rows, so a batch's
+    samples stack to equal size.  Returns None when a crop region is empty,
+    so callers simply drop the pair for this epoch.
     """
     prev_pts = pair.prev_frame.points
     cur_pts = pair.cur_frame.points
@@ -556,10 +579,10 @@ def prepare_pair_example(
     b_prev = perturb_prev_box(gt_prev, cfg.augment, rng)
 
     try:
-        prev_crop = crop_and_sample(
+        prev_crop = crop_and_pad(
             prev_frame, b_prev, margin=cfg.margin, n=cfg.n_points, rng_seed=int(rng.integers(2**31))
         )
-        cur_crop = crop_and_sample(
+        cur_crop = crop_and_pad(
             cur_frame, b_prev, margin=cfg.margin, n=cfg.n_points, rng_seed=int(rng.integers(2**31))
         )
     except EmptyRegionError:
@@ -711,10 +734,12 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
     masks are computed once.  Every random draw derives from ``cfg.seed``.
     A row carries the epoch's loss terms and its wall-time split in seconds
     (``prepare_s``, ``forward_s``, ``backward_s``, ``step_s``) with
-    ``pairs_per_s`` over the whole epoch.
+    ``pairs_per_s`` over the whole epoch.  Like inference, training pins
+    the process's malloc thresholds (:func:`lidartrack.nn.pin_heap`).
     """
     if not pairs:
         raise ValueError("no training pairs")
+    pin_heap()
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
     prepared: Optional[list[Optional[PairExample]]] = None

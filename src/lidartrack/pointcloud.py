@@ -31,6 +31,7 @@ __all__ = [
     "assemble_features",
     "box_aware_distmap",
     "build_st_cloud",
+    "crop_and_pad",
     "crop_and_sample",
     "motion_assisted_merge",
     "prior_targetness_map",
@@ -112,13 +113,15 @@ class STCloud:
 def crop_and_sample(
     f: Frame, b: Box3D, margin: float = 2.0, n: int = 1024, rng_seed: int = 0
 ) -> Frame:
-    """Crop a frame to the box enlarged by ``margin`` and sample ``n`` points.
+    """Crop a frame to the box enlarged by ``margin`` and keep at most ``n`` points.
 
     The margin pads every face, i.e. the enlarged size is ``size + 2*margin``.
-    With at least ``n`` candidates the sample is uniform without replacement;
-    with fewer, candidates are upsampled so that each appears either
-    ``floor(n/c)`` or ``floor(n/c)+1`` times (every candidate at least once),
-    then shuffled. Deterministic given ``rng_seed``.
+    With at least ``n`` candidates the sample is uniform without replacement,
+    deterministic given ``rng_seed``; with fewer, every candidate is returned
+    once, in coordinate order.  No row repeats: the network's per-point
+    layers and max-pools give a point's copies nothing a single row does
+    not, so tracking sees each distinct point once and only training pads
+    (:func:`crop_and_pad`).
 
     Candidates are ordered by coordinates before sampling, so the result
     depends only on the set of points in the frame, not on their row order.
@@ -134,21 +137,34 @@ def crop_and_sample(
     candidates = np.flatnonzero(inside)
     cand_pts = f.points[candidates]
     candidates = candidates[np.lexsort((cand_pts[:, 2], cand_pts[:, 1], cand_pts[:, 0]))]
-    c = candidates.size
-    if c == 0:
+    if candidates.size == 0:
         raise EmptyRegionError(
             f"no points inside box at {np.round(b.center, 3)} enlarged by {margin} m"
         )
+    if candidates.size >= n:
+        candidates = np.random.default_rng(rng_seed).choice(candidates, size=n, replace=False)
+    return Frame(points=f.points[candidates], timestamp=f.timestamp)
+
+
+def crop_and_pad(
+    f: Frame, b: Box3D, margin: float = 2.0, n: int = 1024, rng_seed: int = 0
+) -> Frame:
+    """:func:`crop_and_sample` padded to exactly ``n`` rows, for batched training.
+
+    Training stacks equal-size samples and weights every row of the loss
+    alike, so a crop of ``c < n`` points is upsampled: each point appears
+    ``floor(n/c)`` or ``floor(n/c)+1`` times, then the rows are shuffled.
+    The draw uses ``rng_seed``'s stream, which :func:`crop_and_sample`
+    leaves untouched whenever there is something to pad.
+    """
+    crop = crop_and_sample(f, b, margin=margin, n=n, rng_seed=rng_seed)
+    c = len(crop)
+    if c == n:
+        return crop
     rng = np.random.default_rng(rng_seed)
-    if c >= n:
-        idx = rng.choice(candidates, size=n, replace=False)
-    else:
-        reps, rem = divmod(n, c)
-        idx = np.concatenate(
-            [np.tile(candidates, reps), rng.choice(candidates, size=rem, replace=False)]
-        )
-        idx = rng.permutation(idx)
-    return Frame(points=f.points[idx], timestamp=f.timestamp)
+    reps, rem = divmod(n, c)
+    idx = np.concatenate([np.tile(np.arange(c), reps), rng.choice(c, size=rem, replace=False)])
+    return Frame(points=crop.points[rng.permutation(idx)], timestamp=crop.timestamp)
 
 
 def build_st_cloud(prev: Frame, cur: Frame) -> STCloud:

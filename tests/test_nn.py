@@ -312,7 +312,7 @@ class TestNoGrad:
 
 
 class TestHeapPin:
-    """The first no_grad() of a process pins glibc's malloc thresholds."""
+    """The first no_grad() or train() of a process pins glibc's malloc thresholds."""
 
     def test_off_glibc_is_a_no_op(self, monkeypatch):
         def no_ctypes(*args, **kwargs):
@@ -342,6 +342,30 @@ class TestHeapPin:
         # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
         assert calls == [(-3, ag.MMAP_THRESHOLD_BYTES), (-1, ag.TRIM_THRESHOLD_BYTES)]
 
+    def test_training_pins_the_heap(self):
+        # a fresh process that trains and never enters no_grad()
+        script = textwrap.dedent("""
+            import types
+            from lidartrack.data import SceneSpec, generate_synthetic_tracklet, make_training_pairs
+            from lidartrack.nn import Model, ModelConfig, autograd as ag
+            from lidartrack.pipeline import TrainConfig, train
+
+            calls = []
+            ag.platform.libc_ver = lambda *args, **kwargs: ("glibc", "2.36")
+            ag.ctypes.CDLL = lambda name: types.SimpleNamespace(
+                mallopt=lambda param, value: calls.append((param, value)) or 1
+            )
+            pairs = make_training_pairs([generate_synthetic_tracklet(SceneSpec(n_frames=3, seed=1))])
+            model = Model(ModelConfig(point_widths=(8, 16), head_hidden=8))
+            assert not ag._heap_pinned
+            for _ in range(2):
+                train(model, pairs, TrainConfig(epochs=1, batch_size=2, n_points=32))
+            print(calls == [(-3, ag.MMAP_THRESHOLD_BYTES), (-1, ag.TRIM_THRESHOLD_BYTES)])
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are pinned on glibc only")
     def test_tracking_at_1024_points_does_not_fault_per_frame(self):
         # a fresh process: one no_grad() earlier in this one has pinned the heap already
@@ -360,13 +384,16 @@ class TestHeapPin:
             def track(i):
                 track_frame(t.frames[i - 1], t.frames[i], t.gt_boxes[i - 1], model, frame_index=i, n_points=1024)
 
-            for i in (1, 2):
+            # crops differ in size, so the heap grows the first time a
+            # larger frame arrives; a first pass over the tracklet takes
+            # those first-touch faults, and the second pass is measured
+            for i in range(1, len(t.frames)):
                 track(i)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for i in range(3, len(t.frames)):
+            for i in range(1, len(t.frames)):
                 track(i)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            print(len(t.frames) - 3, after - before)
+            print(len(t.frames) - 1, after - before)
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

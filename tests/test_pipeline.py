@@ -63,7 +63,15 @@ from lidartrack.pipeline import (
     track_sequence,
     train,
 )
-from lidartrack.pointcloud import Frame, build_st_cloud, crop_and_sample, split_by_time, with_channels
+from lidartrack.pointcloud import (
+    EmptyRegionError,
+    Frame,
+    build_st_cloud,
+    crop_and_pad,
+    crop_and_sample,
+    split_by_time,
+    with_channels,
+)
 
 NO_AUG = AugmentConfig(
     flip_prob=0.0, rot_range=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift=0.0
@@ -343,6 +351,90 @@ class TestTrackFrame:
         np.testing.assert_array_equal(a.as_vector(), b.as_vector())
 
 
+class TestDistinctCrop:
+    """Tracking each distinct point once gives what the padded crop gives.
+
+    The per-point layers act on each row alone and max-pooling ignores
+    copies, so the training pad (:func:`crop_and_pad`) put in place of the
+    tracker's crop must leave every box and flag bitwise unchanged.
+    """
+
+    @staticmethod
+    def desk_frames():
+        cfg = ExperimentConfig.from_sources(preset="desk")
+        t = generate_synthetic_tracklet(replace(cfg.scene_template(), seed=5))
+        model = Model(cfg.model_config())
+        b_prev = t.gt_boxes[0]
+        logits = segment_forward(canonical_features(st_for_pair(t, 1, b_prev, n=1024), b_prev), model).data
+        # centre the target logit's lead so that some rows are predicted target
+        model.seg_head.layers[-1][1].data[1] -= np.quantile(logits[:, 1] - logits[:, 0], 0.8)
+        return t, model
+
+    @staticmethod
+    def track_both(monkeypatch, prev, cur, b_prev, model, n_points, overrides=None):
+        def run():
+            return track_frame(prev, cur, b_prev, model, seed=4, frame_index=1, n_points=n_points,
+                               overrides=overrides)
+
+        distinct = run()
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "crop_and_sample", crop_and_pad)
+            padded = run()
+        return distinct, padded
+
+    @staticmethod
+    def assert_same(distinct, padded):
+        (box_a, a), (box_b, b) = distinct, padded
+        np.testing.assert_array_equal(box_a.as_vector(), box_b.as_vector())
+        assert (a.dynamic, a.fallback_mask, a.degenerate) == (b.dynamic, b.fallback_mask, b.degenerate)
+        for name in ("refined_prev_box", "coarse_box"):
+            np.testing.assert_array_equal(getattr(a, name).as_vector(), getattr(b, name).as_vector())
+
+    @pytest.mark.parametrize("n_points", [128, 1024])
+    def test_padding_changes_nothing(self, monkeypatch, n_points):
+        t, model = self.desk_frames()
+        fallbacks = []
+        for i in range(1, 6):
+            for thin in (1, 8):  # thinned frames crop fewer than 128 points
+                cur = Frame(points=t.frames[i].points[::thin], timestamp=i)
+                distinct, padded = self.track_both(monkeypatch, t.frames[i - 1], cur, t.gt_boxes[i - 1],
+                                                   model, n_points)
+                self.assert_same(distinct, padded)
+                fallbacks.append(distinct[1].fallback_mask)
+        assert not all(fallbacks)
+
+    @pytest.mark.parametrize("n_points", [128, 1024])
+    def test_lone_target_point(self, monkeypatch, n_points):
+        # stage one and stage two each get one distinct row: the padded crop
+        # repeats it, and one row alone would take BLAS's gemv path
+        t, model = self.desk_frames()
+        cur = Frame(points=t.frames[1].points[::16], timestamp=1)
+
+        def one_point(i, st, b_prev):
+            cur_rows = st.xyz[~st.prev_rows]
+            first = cur_rows[np.lexsort(cur_rows.T[::-1])[0]]
+            return ~st.prev_rows & np.all(st.xyz == first, axis=1)
+
+        distinct, padded = self.track_both(monkeypatch, t.frames[0], cur, t.gt_boxes[0], model, n_points,
+                                           overrides=TrackOverrides(segment_fn=one_point))
+        self.assert_same(distinct, padded)
+        assert (distinct[1].n_prev_target, distinct[1].n_cur_target) == (0, 1)
+        assert padded[1].n_cur_target > 1
+
+
+class TestNetworkTracker:
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_points": 0}, "n_points must be an integer >= 1, got 0"),
+        ({"n_points": 2.5}, "n_points must be an integer >= 1, got 2.5"),
+        ({"margin": -1.0}, "margin must be finite and >= 0, got -1.0"),
+        ({"margin": float("inf")}, "margin must be finite and >= 0, got inf"),
+        ({"margin": float("nan")}, "margin must be finite and >= 0, got nan"),
+    ])
+    def test_bad_setting_rejected_when_built(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkTracker(model32(), **setting)
+
+
 class TestTrackSequence:
     def test_single_frame(self):
         t = generate_synthetic_tracklet(SceneSpec(n_frames=1, seed=10))
@@ -418,6 +510,57 @@ def dummy_seg(rng, n=8, perfect=False):
     else:
         logits = rng.normal(size=(n, 2))
     return Tensor(logits.astype(np.float64)), labels
+
+
+def reference_crop(f, b, margin=2.0, n=1024, rng_seed=0):
+    """Crop and upsample to exactly ``n`` rows in one draw: the reference
+    training's padded crop must reproduce row for row."""
+    enlarged = Box3D(center=b.center, size=b.size + 2.0 * margin, yaw=b.yaw)
+    candidates = np.flatnonzero(points_in_box(f.points, enlarged))
+    cand_pts = f.points[candidates]
+    candidates = candidates[np.lexsort((cand_pts[:, 2], cand_pts[:, 1], cand_pts[:, 0]))]
+    c = candidates.size
+    if c == 0:
+        raise EmptyRegionError("no points")
+    rng = np.random.default_rng(rng_seed)
+    if c >= n:
+        idx = rng.choice(candidates, size=n, replace=False)
+    else:
+        reps, rem = divmod(n, c)
+        idx = np.concatenate(
+            [np.tile(candidates, reps), rng.choice(candidates, size=rem, replace=False)]
+        )
+        idx = rng.permutation(idx)
+    return Frame(points=f.points[idx], timestamp=f.timestamp)
+
+
+class TestPrepareCrop:
+    def test_matches_reference_crop(self, monkeypatch):
+        cfg = ExperimentConfig.from_sources(preset="desk")
+        pairs = make_training_pairs(make_synthetic_dataset(2, cfg.scene_template(), master_seed=3))
+
+        def prepare_all(tc):
+            return [prepare_pair_example(p, tc, np.random.default_rng([5, i])) for i, p in enumerate(pairs)]
+
+        padded = set()
+        for n_points in (128, 512, 1024):
+            tc = replace(cfg.train_config(), n_points=n_points)
+            got = prepare_all(tc)
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "crop_and_pad", reference_crop)
+                want = prepare_all(tc)
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                if a is None:
+                    continue
+                np.testing.assert_array_equal(a.features, b.features)
+                np.testing.assert_array_equal(a.seg_labels, b.seg_labels)
+                for name in ("b_prev", "gt_cur", "rtm_target", "refine_target"):
+                    np.testing.assert_array_equal(getattr(a, name).as_vector(), getattr(b, name).as_vector())
+                assert a.motion_label == b.motion_label
+                padded.add(len(np.unique(a.st.points, axis=0)) < len(a.st))
+        # both branches of the crop ran: some samples were padded, some not
+        assert padded == {False, True}
 
 
 class TestTotalLoss:

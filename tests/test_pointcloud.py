@@ -19,6 +19,7 @@ from lidartrack.pointcloud import (
     assemble_features,
     box_aware_distmap,
     build_st_cloud,
+    crop_and_pad,
     crop_and_sample,
     motion_assisted_merge,
     prior_targetness_map,
@@ -44,10 +45,16 @@ class TestCropAndSample:
 
     def test_few_candidates_upsampled_with_every_point_present(self):
         pts = np.random.default_rng(2).uniform(-0.4, 0.4, size=(10, 3))
-        out = crop_and_sample(make_frame(pts), UNIT_BOX, margin=0.0, n=1024, rng_seed=3)
-        assert out.points.shape == (1024, 3)
-        # with-replacement upsampling must cover every candidate at least once
-        assert len(np.unique(out.points, axis=0)) == 10
+        frame = make_frame(pts)
+        # the crop keeps each candidate once, in coordinate order ...
+        out = crop_and_sample(frame, UNIT_BOX, margin=0.0, n=1024, rng_seed=3)
+        np.testing.assert_array_equal(out.points, pts[np.lexsort(pts.T[::-1])])
+        # ... and the training pad repeats each floor(n/c) or ceil(n/c) times
+        padded = crop_and_pad(frame, UNIT_BOX, margin=0.0, n=1024, rng_seed=3)
+        assert padded.points.shape == (1024, 3)
+        rows, counts = np.unique(padded.points, axis=0, return_counts=True)
+        assert len(rows) == 10
+        assert set(counts) == {102, 103} and counts.sum() == 1024
 
     def test_empty_region_raises(self):
         pts = np.array([[10.0, 10.0, 10.0]])
@@ -58,9 +65,32 @@ class TestCropAndSample:
         # enlarged half-extent along x = 0.5 + margin
         inside = np.array([[0.5 + 1.9, 0.0, 0.0]])
         outside = np.array([[0.5 + 2.1, 0.0, 0.0]])
-        got = crop_and_sample(make_frame(np.vstack([inside, outside])), UNIT_BOX,
-                              margin=2.0, n=4, rng_seed=0)
-        np.testing.assert_array_equal(got.points, np.repeat(inside, 4, axis=0))
+        frame = make_frame(np.vstack([inside, outside]))
+        got = crop_and_sample(frame, UNIT_BOX, margin=2.0, n=4, rng_seed=0)
+        np.testing.assert_array_equal(got.points, inside)
+        padded = crop_and_pad(frame, UNIT_BOX, margin=2.0, n=4, rng_seed=0)
+        np.testing.assert_array_equal(padded.points, np.repeat(inside, 4, axis=0))
+
+    @pytest.mark.parametrize("c", [1, 7, 63, 64, 65, 200])
+    def test_at_most_n_rows_each_candidate_once(self, c):
+        pts = np.random.default_rng(c).uniform(-0.5, 0.5, size=(c, 3))
+        out = crop_and_sample(make_frame(pts), UNIT_BOX, margin=0.0, n=64, rng_seed=4)
+        assert len(out) == min(c, 64)
+        assert len(np.unique(out.points, axis=0)) == len(out)
+
+    def test_pad_draws_only_when_short(self):
+        # a full crop is returned as drawn; a short one takes the seed's
+        # stream, which the crop left unused
+        rng = np.random.default_rng(6)
+        frame = make_frame(rng.uniform(-0.5, 0.5, size=(300, 3)))
+        for n in (100, 300):
+            a = crop_and_sample(frame, UNIT_BOX, margin=0.0, n=n, rng_seed=9)
+            b = crop_and_pad(frame, UNIT_BOX, margin=0.0, n=n, rng_seed=9)
+            np.testing.assert_array_equal(a.points, b.points)
+        a = crop_and_pad(frame, UNIT_BOX, margin=0.0, n=500, rng_seed=9)
+        b = crop_and_pad(frame, UNIT_BOX, margin=0.0, n=500, rng_seed=10)
+        assert not np.array_equal(a.points, b.points)
+        np.testing.assert_array_equal(np.unique(a.points, axis=0), np.unique(b.points, axis=0))
 
     def test_output_lies_in_enlarged_box(self):
         rng = np.random.default_rng(5)
@@ -82,8 +112,8 @@ class TestCropAndSample:
 
     def test_timestamp_preserved(self):
         pts = np.zeros((4, 3))
-        out = crop_and_sample(make_frame(pts, t=17), UNIT_BOX, n=8, rng_seed=0)
-        assert out.timestamp == 17
+        assert crop_and_sample(make_frame(pts, t=17), UNIT_BOX, n=8, rng_seed=0).timestamp == 17
+        assert crop_and_pad(make_frame(pts, t=17), UNIT_BOX, n=8, rng_seed=0).timestamp == 17
 
     def test_row_order_of_input_is_irrelevant(self):
         rng = np.random.default_rng(11)
