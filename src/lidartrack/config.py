@@ -23,6 +23,7 @@ scenes with 3 distractors, which is the setting the acceptance run uses.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -34,6 +35,7 @@ from lidartrack.augment import AugmentConfig
 from lidartrack.data import MOTION_MODELS, SceneSpec
 from lidartrack.nn import ModelConfig
 from lidartrack.pipeline import TrainConfig
+from lidartrack.pointcloud import DEFAULT_MARGIN, DEFAULT_POINTS
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS"]
 
@@ -77,8 +79,8 @@ class ExperimentConfig:
     lr: float = 1e-3
     lr_decay: float = 0.1
     lr_decay_every: int = 20
-    n_points: int = 1024
-    margin: float = 2.0
+    n_points: int = DEFAULT_POINTS
+    margin: float = DEFAULT_MARGIN
     resample_each_epoch: bool = True
     lambda_cls_target: float = 0.1
     lambda_cls_motion: float = 0.1
@@ -195,6 +197,8 @@ def _coerce_one(key: str, value: Any, kind: Any) -> Any:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+            raise ConfigError(f"{key} must be finite, got {value!r}")
         return float(value)
     if kind is bool:
         if not isinstance(value, bool):

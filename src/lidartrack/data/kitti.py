@@ -1,10 +1,13 @@
 """KITTI tracking-format ingestion.
 
-Expected sequence layout (paths resolved flexibly, see _find_file):
+One sequence per directory, named ``<seq>``, in the one layout read:
 
-    <seq_dir>/velodyne/<frame>.bin      packed float32 x y z reflectance
+    <seq_dir>/velodyne/<frame>.bin      packed little-endian float32 x y z reflectance
     <seq_dir>/label_02/<seq>.txt        one annotation row per object per frame
     <seq_dir>/calib/<seq>.txt           provides the LiDAR-to-camera transform
+
+Point files are read by the native format's reader, which drops the
+reflectance column.
 
 Label boxes live in the camera frame: dimensions are h w l, the location
 is the bottom-face center (camera y points down), and rotation_y is the
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lidartrack.data.native import read_point_file
 from lidartrack.data.tracklets import Tracklet
 from lidartrack.geometry import Box3D
 from lidartrack.pointcloud import Frame
@@ -29,22 +33,6 @@ from lidartrack.pointcloud import Frame
 __all__ = ["load_kitti_tracklets", "lidar_box_from_camera", "camera_label_from_box"]
 
 _CALIB_KEYS = ("Tr_velo_to_cam", "Tr_velo_cam")
-
-
-def _find_file(seq_dir: Path, kind: str, seq: str) -> Path:
-    candidates = [
-        seq_dir / kind / f"{seq}.txt",
-        seq_dir / f"{kind}.txt",
-    ]
-    sub = seq_dir / kind
-    if sub.is_dir():
-        txts = sorted(sub.glob("*.txt"))
-        if len(txts) == 1:
-            candidates.append(txts[0])
-    for c in candidates:
-        if c.is_file():
-            return c
-    raise FileNotFoundError(f"no {kind} file found under {seq_dir}")
 
 
 def _read_calib(path: Path) -> np.ndarray:
@@ -89,25 +77,12 @@ def camera_label_from_box(box: Box3D, tr_velo_to_cam: np.ndarray):
     return loc, (h, box.width, box.length), ry
 
 
-def _read_velodyne(path: Path, frame: int) -> Frame:
-    if not path.is_file():
-        raise FileNotFoundError(f"{path}: missing point file for a labeled frame")
-    raw = path.read_bytes()
-    if len(raw) % 16 != 0:
-        raise ValueError(f"{path}: corrupt point file, {len(raw)} bytes is not a whole number of xyzr float32 rows")
-    points = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, 4)[:, :3]
-    try:
-        return Frame(points=points, timestamp=frame)
-    except ValueError as exc:  # non-finite points: name the file as well as the row
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def load_kitti_tracklets(seq_dir, sequence: str | None = None) -> list[Tracklet]:
+def load_kitti_tracklets(seq_dir) -> list[Tracklet]:
     """One Tracklet per (track id, contiguous frame run); DontCare skipped."""
     seq_dir = Path(seq_dir)
-    seq = sequence or seq_dir.name
-    tr = _read_calib(_find_file(seq_dir, "calib", seq))
-    label_path = _find_file(seq_dir, "label_02", seq)
+    seq = seq_dir.name
+    tr = _read_calib(seq_dir / "calib" / f"{seq}.txt")
+    label_path = seq_dir / "label_02" / f"{seq}.txt"
 
     # frame -> (box, category) lists keyed by track id, in file order
     per_track: dict[int, list[tuple[int, Box3D, str]]] = {}
@@ -133,7 +108,7 @@ def load_kitti_tracklets(seq_dir, sequence: str | None = None) -> list[Tracklet]
 
     def read_frame(frame: int) -> Frame:
         if frame not in frame_cache:
-            frame_cache[frame] = _read_velodyne(seq_dir / "velodyne" / f"{frame:06d}.bin", frame)
+            frame_cache[frame] = read_point_file(seq_dir / "velodyne" / f"{frame:06d}.bin", frame, 4)
         return frame_cache[frame]
 
     tracklets: list[Tracklet] = []

@@ -2,9 +2,13 @@
 
 Layout under a root directory:
 
-    manifest.json                      format version + tracklet index with split tags
+    manifest.json                      format version + the ordered list of tracklet directories
     <tracklet-dir>/meta.json           id, category, source, timestamps, boxes
     <tracklet-dir>/points_000.bin      packed little-endian float32, xyz per point
+
+A tracklet is read if and only if the manifest lists its directory, in
+the listed order; a root without a manifest is an empty dataset.  Older
+manifest entries also carry an ``id`` and a ``split`` tag, which are ignored.
 
 Boxes live in JSON (lossless for float64 via repr-style serialization);
 point coordinates are quantized to float32 by the binary files, so a first
@@ -23,7 +27,7 @@ import json
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,11 +75,10 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str, str]] = None) -> None:
-    """Write tracklets plus a manifest; splits maps tracklet id to a tag."""
+def write_native(tracklets: Sequence[Tracklet], root) -> None:
+    """Write each tracklet to its own directory, then the manifest listing them."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    splits = splits or {}
     taken: set[str] = set()
     index = []
     for t in tracklets:
@@ -94,18 +97,29 @@ def write_native(tracklets: Sequence[Tracklet], root, splits: Optional[dict[str,
         for i, frame in enumerate(t.frames):
             data = frame.points.astype("<f4").tobytes()
             (tdir / f"points_{i:03d}.bin").write_bytes(data)
-        index.append({"dir": name, "id": t.id, "split": splits.get(t.id, "train")})
+        index.append({"dir": name})
     manifest = {"format_version": _FORMAT_VERSION, "tracklets": index}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_frame(path: Path, timestamp: int) -> Frame:
+def read_point_file(path: Path, timestamp: int, columns: int) -> Frame:
+    """A frame from packed little-endian float32 rows of ``columns`` values.
+
+    The first three values of a row are x y z; the rest (KITTI's
+    reflectance) are dropped.  A missing file, a partial last row and a
+    non-finite coordinate raise errors that name the file, and the row
+    where there is one.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing point file")
     raw = path.read_bytes()
-    if len(raw) % 12 != 0:
-        raise ValueError(f"{path}: corrupt point file, {len(raw)} bytes is not a whole number of xyz float32 triples")
-    points = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, 3)
+    row_bytes = 4 * columns
+    if len(raw) % row_bytes:
+        raise ValueError(
+            f"{path}: corrupt point file, row {len(raw) // row_bytes} is partial: "
+            f"{len(raw)} bytes is not a whole number of {columns}-column float32 rows"
+        )
+    points = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, columns)[:, :3]
     try:
         return Frame(points=points, timestamp=timestamp)
     except ValueError as exc:  # non-finite points: name the file as well as the row
@@ -120,30 +134,28 @@ def _read_tracklet(tdir: Path) -> Tracklet:
         meta = _load_json(meta_path)
         timestamps = [int(ts) for ts in meta["timestamps"]]
         boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
-    frames = tuple(_read_frame(tdir / f"points_{i:03d}.bin", ts) for i, ts in enumerate(timestamps))
+    frames = tuple(read_point_file(tdir / f"points_{i:03d}.bin", ts, 3) for i, ts in enumerate(timestamps))
     with _naming(meta_path):  # a box count that does not match the frames
         return Tracklet(id=meta["id"], frames=frames, gt_boxes=boxes,
                         category=meta["category"], source=meta["source"])
 
 
-def read_native(root, split: Optional[str] = None) -> list[Tracklet]:
-    """Load a dataset; an empty or absent manifest yields an empty dataset."""
+def read_native(root) -> list[Tracklet]:
+    """Load the tracklets the manifest lists, in its order; a root without
+    ``manifest.json`` is an empty dataset."""
     root = Path(root)
     manifest_path = root / "manifest.json"
-    if manifest_path.is_file():
-        with _naming(manifest_path):  # (directory, split tag) per entry
-            entries = []
-            listed = _load_json(manifest_path)["tracklets"]
-            if not isinstance(listed, list):
-                raise ValueError(f"tracklets is a JSON {type(listed).__name__}, not an array")
-            for i, entry in enumerate(listed):
-                if not isinstance(entry, dict):
-                    raise ValueError(f"tracklets entry {i} is a JSON {type(entry).__name__}, not an object")
-                entries.append((entry["dir"], entry.get("split", "train")))
-                for key, value in zip(("dir", "split"), entries[-1]):
-                    if not isinstance(value, str):
-                        raise ValueError(f"tracklets entry {i} {key} is a JSON {type(value).__name__}, not a string")
-    else:
-        # no manifest: scan for tracklet directories; empty dir is fine
-        entries = [(p.parent.name, "train") for p in sorted(root.glob("*/meta.json"))]
-    return [_read_tracklet(root / name) for name, tag in entries if split is None or tag == split]
+    if not manifest_path.is_file():
+        return []
+    with _naming(manifest_path):  # one tracklet directory per entry
+        listed = _load_json(manifest_path)["tracklets"]
+        if not isinstance(listed, list):
+            raise ValueError(f"tracklets is a JSON {type(listed).__name__}, not an array")
+        names = []
+        for i, entry in enumerate(listed):
+            if not isinstance(entry, dict):
+                raise ValueError(f"tracklets entry {i} is a JSON {type(entry).__name__}, not an object")
+            if not isinstance(entry["dir"], str):
+                raise ValueError(f"tracklets entry {i} dir is a JSON {type(entry['dir']).__name__}, not a string")
+            names.append(entry["dir"])
+    return [_read_tracklet(root / name) for name in names]

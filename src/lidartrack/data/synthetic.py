@@ -115,8 +115,8 @@ def _box_track(
 _FACE_SPANS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-def _surface_points(box: Box3D, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples on faces visible from the origin, before noise."""
+def _surface_points(box: Box3D, rng: np.random.Generator, noise_sigma: float) -> np.ndarray:
+    """Uniform samples on faces visible from the origin, plus isotropic noise."""
     full = np.array([box.length, box.width, box.height])
     rot = yaw_matrix(box.yaw)
     chunks = []
@@ -138,12 +138,13 @@ def _surface_points(box: Box3D, rng: np.random.Generator) -> np.ndarray:
             chunks.append(local @ rot.T + box.center)
     if not chunks:
         return np.zeros((0, 3))
-    return np.vstack(chunks)
+    points = np.vstack(chunks)
+    if noise_sigma > 0:
+        points = points + rng.normal(0.0, noise_sigma, size=points.shape)
+    return points
 
 
-def _place_distractor(
-    spec: SceneSpec, rng: np.random.Generator, target0: Box3D, placed: list[Box3D]
-) -> tuple[np.ndarray, float]:
+def _place_distractor(rng: np.random.Generator, target0: Box3D, placed: list[Box3D]) -> tuple[np.ndarray, float]:
     lo, hi = _DISTRACTOR_RING
     for attempt in range(200):
         # widen the ring if the neighborhood is crowded
@@ -175,7 +176,7 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
     distractor_tracks: list[list[Box3D]] = []
     placed: list[Box3D] = []
     for _ in range(spec.n_distractors):
-        center, yaw = _place_distractor(spec, rng, target_boxes[0], placed)
+        center, yaw = _place_distractor(rng, target_boxes[0], placed)
         motion = str(rng.choice(MOTION_MODELS))
         track = _box_track(spec, rng, CAR_SIZE, center, yaw, motion)
         distractor_tracks.append(track)
@@ -187,15 +188,9 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
     frames: list[Frame] = []
     masks: list[np.ndarray] = []
     for t in range(spec.n_frames):
-        target_pts = _surface_points(target_boxes[t], rng)
-        if spec.noise_sigma > 0 and len(target_pts):
-            target_pts = target_pts + rng.normal(0.0, spec.noise_sigma, size=target_pts.shape)
+        target_pts = _surface_points(target_boxes[t], rng, spec.noise_sigma)
         parts = [target_pts]
-        for track in distractor_tracks:
-            pts = _surface_points(track[t], rng)
-            if spec.noise_sigma > 0 and len(pts):
-                pts = pts + rng.normal(0.0, spec.noise_sigma, size=pts.shape)
-            parts.append(pts)
+        parts += [_surface_points(track[t], rng, spec.noise_sigma) for track in distractor_tracks]
         if n_clutter:
             clutter = np.empty((n_clutter, 3))
             clutter[:, :2] = rng.uniform(-_SCENE_HALF_EXTENT, _SCENE_HALF_EXTENT, size=(n_clutter, 2))

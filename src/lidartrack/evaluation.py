@@ -33,7 +33,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "run_ope",
     "score_predictions",
     "success_auc",
-    "weighted_overall",
 ]
 
 MAX_ERROR = 2.0  # m; the precision curve's distance range
@@ -156,20 +155,6 @@ def precision_auc(errors: Iterable[float]) -> float:
     return 100.0 * float(np.mean((MAX_ERROR - clamped) / MAX_ERROR))
 
 
-def weighted_overall(
-    categories: Mapping[str, tuple[float, float, int]],
-) -> tuple[float, float]:
-    """Frame-count-weighted mean of per-category (success, precision, n_frames)."""
-    if not categories:
-        raise ValueError("need at least one category")
-    total = sum(n for _, _, n in categories.values())
-    if total <= 0:
-        raise ValueError("categories must cover at least one frame")
-    s = sum(sc * n for sc, _, n in categories.values()) / total
-    p = sum(pc * n for _, pc, n in categories.values()) / total
-    return float(s), float(p)
-
-
 # ---------------------------------------------------------------------------
 # report structure
 
@@ -186,8 +171,10 @@ class CategoryMetrics:
 class OpeReport:
     """Scores of one tracker over one set of tracklets.
 
-    ``traces`` keeps the raw per-frame (overlaps, errors) per tracklet so
-    downstream analysis never needs to re-run the tracker.  ``mean_wall_ms``
+    ``success`` and ``precision`` are the curves over every scored frame,
+    and each category's over that category's frames.  ``traces`` keeps the
+    raw per-frame (overlaps, errors) per tracklet so downstream analysis
+    never needs to re-run the tracker.  ``mean_wall_ms``
     is wall time per tracked frame: the given frame 0 is not counted.
     ``failures`` maps each failed tracklet id to its cause,
     ``"<ExceptionType>: <message>"``.
@@ -278,16 +265,13 @@ def _build_report(
         )
         for name in sorted(per_cat_overlaps)
     }
-    success, precision = weighted_overall(
-        {n: (m.success, m.precision, m.n_frames) for n, m in categories.items()}
-    )
-    n_frames = sum(m.n_frames for m in categories.values())
+    all_overlaps = [o for t in tracklets for o in traces[t.id][0]]
     return OpeReport(
         tracker=tracker_name,
         categories=categories,
-        success=success,
-        precision=precision,
-        n_frames=n_frames,
+        success=success_auc(all_overlaps),
+        precision=precision_auc(e for t in tracklets for e in traces[t.id][1]),
+        n_frames=len(all_overlaps),
         n_tracklets=len(tracklets),
         mean_wall_ms=mean_wall_ms(wall_ms),
         traces=traces,

@@ -71,11 +71,14 @@ from lidartrack.nn import (
     zero_grad,
 )
 from lidartrack.pointcloud import (
+    DEFAULT_MARGIN,
+    DEFAULT_POINTS,
     EmptyRegionError,
     Frame,
     STCloud,
     assemble_features,
     build_st_cloud,
+    check_crop_settings,
     crop_and_pad,
     crop_and_sample,
     motion_assisted_merge,
@@ -104,9 +107,6 @@ __all__ = [
     "scheduled_lr",
     "train",
 ]
-
-DEFAULT_MARGIN = 2.0
-DEFAULT_POINTS = 1024
 
 # Every network input channel is multiplied by this constant.  Without
 # normalization layers, small uniform activations are what keep Adam's
@@ -411,10 +411,7 @@ class NetworkTracker:
         n_points: int = DEFAULT_POINTS,
         overrides: Optional[TrackOverrides] = None,
     ):
-        if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
-            raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
-        if not 0 <= margin < np.inf:
-            raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
+        check_crop_settings(margin, n_points)
         self.model = model
         self.seed = seed
         self.margin = margin
@@ -503,10 +500,15 @@ class TrainConfig:
     start_epoch: int = 0  # resumed runs keep the absolute epoch counter
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.n_points < 1:
-            raise ValueError("epochs, batch_size and n_points must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        check_crop_settings(self.margin, self.n_points)
         if self.lr <= 0 or self.lr_decay <= 0 or self.lr_decay_every < 1:
             raise ValueError("learning-rate schedule values must be positive")
+        for name in ("lambda_cls_target", "lambda_cls_motion", "lambda_reg"):
+            weight = getattr(self, name)
+            if not weight >= 0:
+                raise ValueError(f"{name} must be >= 0, got {weight!r}")
         if not 0 <= self.start_epoch <= self.epochs:
             raise ValueError("start_epoch must lie in [0, epochs]")
 

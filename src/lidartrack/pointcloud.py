@@ -25,12 +25,15 @@ import numpy as np
 from lidartrack.geometry import Box3D, RTM, box_key_points, points_in_box, yaw_matrix
 
 __all__ = [
+    "DEFAULT_MARGIN",
+    "DEFAULT_POINTS",
     "EmptyRegionError",
     "Frame",
     "STCloud",
     "assemble_features",
     "box_aware_distmap",
     "build_st_cloud",
+    "check_crop_settings",
     "crop_and_pad",
     "crop_and_sample",
     "motion_assisted_merge",
@@ -110,8 +113,23 @@ class STCloud:
         return self.points.shape[0]
 
 
+# default crop settings: meters added to every face of the previous box,
+# and the most points a crop keeps
+DEFAULT_MARGIN = 2.0
+DEFAULT_POINTS = 1024
+
+
+def check_crop_settings(margin: float, n_points: int) -> None:
+    """Raise ``ValueError`` naming the setting unless ``margin`` is finite and
+    >= 0 and ``n_points`` is an integer >= 1."""
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
+        raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
+    if not 0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
+
+
 def crop_and_sample(
-    f: Frame, b: Box3D, margin: float = 2.0, n: int = 1024, rng_seed: int = 0
+    f: Frame, b: Box3D, margin: float = DEFAULT_MARGIN, n: int = DEFAULT_POINTS, rng_seed: int = 0
 ) -> Frame:
     """Crop a frame to the box enlarged by ``margin`` and keep at most ``n`` points.
 
@@ -128,10 +146,7 @@ def crop_and_sample(
 
     Raises ``EmptyRegionError`` when the region holds no points at all.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_crop_settings(margin, n)
     enlarged = Box3D(center=b.center, size=b.size + 2.0 * margin, yaw=b.yaw)
     inside = points_in_box(f.points, enlarged) if len(f) else np.zeros(0, dtype=bool)
     candidates = np.flatnonzero(inside)
@@ -147,7 +162,7 @@ def crop_and_sample(
 
 
 def crop_and_pad(
-    f: Frame, b: Box3D, margin: float = 2.0, n: int = 1024, rng_seed: int = 0
+    f: Frame, b: Box3D, margin: float = DEFAULT_MARGIN, n: int = DEFAULT_POINTS, rng_seed: int = 0
 ) -> Frame:
     """:func:`crop_and_sample` padded to exactly ``n`` rows, for batched training.
 

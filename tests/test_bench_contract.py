@@ -1,16 +1,18 @@
-"""The benchmark still finds every program name it uses.
+"""The benchmark still finds every program name and keyword it uses.
 
 ``perfbench/tracing.py`` wraps program functions under each name their
 callers look them up by, and the workloads call the program through the
-modules they import (``pipeline.track_sequence``, ``lt_data.read_native``).
-Checking both here makes a renamed or deleted function fail the suite, not
-the next benchmark run.
+modules they import (``pipeline.track_sequence``, ``lt_data.read_native``),
+passing keywords such as ``track_frame(frame_index=)``.  Checking all of
+these here makes a renamed or deleted function or parameter fail the
+suite, not the next benchmark run.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,13 +29,12 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     assert tracing.untouched()
 
 
-def program_reads(path: Path) -> set[tuple[str, str]]:
-    """The (module, name) pairs a benchmark file reads from the program.
+BENCH_FILES = (PERFBENCH / "workloads.py", PERFBENCH / "make_checkpoint.py")
 
-    Each ``from lidartrack[.pkg] import name [as alias]`` reads ``name``, and
-    each ``alias.attr`` on a module imported that way reads ``attr``.
-    """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+def program_imports(tree: ast.AST) -> tuple[dict[str, str], set[tuple[str, str]]]:
+    """The program modules a benchmark file imports, by alias, and the
+    (module, name) pairs it imports that are not modules."""
     reads: set[tuple[str, str]] = set()
     modules: dict[str, str] = {}  # alias -> module name
     for node in ast.walk(tree):
@@ -45,14 +46,48 @@ def program_reads(path: Path) -> set[tuple[str, str]]:
                     reads.add((node.module, name.name))
                 else:
                     modules[name.asname or name.name] = module.__name__
+    return modules, reads
+
+
+def program_reads(path: Path) -> set[tuple[str, str]]:
+    """The (module, name) pairs a benchmark file reads from the program.
+
+    Each ``from lidartrack[.pkg] import name [as alias]`` reads ``name``, and
+    each ``alias.attr`` on a module imported that way reads ``attr``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, reads = program_imports(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             reads.add((modules[node.value.id], node.attr))
     return reads
 
 
+def program_calls(path: Path) -> list[tuple[str, object, ast.Call]]:
+    """Each call a benchmark file makes on ``alias.attr[.attr...]`` of a
+    program module: (dotted name, the callable, the call node)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, _ = program_imports(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        attrs, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            attrs.insert(0, func.attr)
+            func = func.value
+        if not (attrs and isinstance(func, ast.Name) and func.id in modules):
+            continue
+        target = importlib.import_module(modules[func.id])
+        for attr in attrs:  # a missing name is the test above's to report
+            target = getattr(target, attr, None)
+        if callable(target):
+            calls.append((".".join([modules[func.id], *attrs]), target, node))
+    return calls
+
+
 def test_every_program_name_the_workloads_read_exists():
-    reads = program_reads(PERFBENCH / "workloads.py") | program_reads(PERFBENCH / "make_checkpoint.py")
+    reads = set().union(*(program_reads(path) for path in BENCH_FILES))
     missing = sorted(f"{module}.{name}" for module, name in reads
                      if not hasattr(importlib.import_module(module), name))
     assert not missing, f"perfbench reads names the program no longer has: {missing}"
@@ -61,3 +96,27 @@ def test_every_program_name_the_workloads_read_exists():
         "lidartrack.pipeline", "lidartrack.nn", "lidartrack.data",
         "lidartrack.evaluation", "lidartrack.geometry", "lidartrack.config",
     }
+
+
+def test_every_keyword_the_workloads_pass_is_a_parameter():
+    unknown, passed = [], set()
+    for path in BENCH_FILES:
+        for name, target, call in program_calls(path):
+            params = inspect.signature(target).parameters.values()
+            if any(p.kind is p.VAR_KEYWORD for p in params):
+                continue
+            accepted = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+            for kw in call.keywords:
+                if kw.arg is None:  # **mapping: nothing to check by name
+                    continue
+                passed.add(f"{name}({kw.arg}=)")
+                if kw.arg not in accepted:
+                    unknown.append(f"{path.name}:{call.lineno}: {name}({kw.arg}=)")
+    assert not unknown, f"perfbench passes keywords the program no longer takes: {unknown}"
+    # the scan reached the calls the workloads make with keywords
+    assert {
+        "lidartrack.pipeline.track_frame(frame_index=)",
+        "lidartrack.pipeline.track_sequence(overrides=)",
+        "lidartrack.nn.segment_forward_batched(batch=)",
+        "lidartrack.config.ExperimentConfig.from_sources(preset=)",
+    } <= passed

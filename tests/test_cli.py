@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ def write_config(path: Path, **keys) -> str:
 
 
 TINY = dict(n_tracklets=3, n_frames=4, epochs=2, batch_size=8, n_points=48, seed=0)
+FLOAT_KEYS = sorted(key for key, kind in get_type_hints(ExperimentConfig).items() if kind is float)
 
 
 def tree_digest(root: Path, skip=("config.resolved.json",)) -> str:
@@ -132,6 +135,9 @@ class TestConfig:
             ("prev_box_yaw_shift_deg", -2.0),
             ("speed_min", 3.0),
             ("speed_max", -1.0),
+            ("lambda_cls_target", -0.1),
+            ("lambda_cls_motion", -0.1),
+            ("lambda_reg", -1.0),
             # checked by the config itself, which owns the key
             ("n_tracklets", 0),
             ("n_tracklets", -3),
@@ -140,6 +146,22 @@ class TestConfig:
     def test_module_checks_surface_as_config_errors(self, key, value):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_sources(overrides={key: value})
+
+    # the settings NetworkTracker rejects when it is built
+    @pytest.mark.parametrize("key, value", [
+        ("n_points", 0), ("margin", -1.0), ("margin", float("inf")), ("margin", float("nan")),
+    ])
+    def test_bad_crop_setting_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            ExperimentConfig.from_sources(overrides={key: value})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_key(self, tmp_path, key, literal):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"{key}": {literal}}}\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite, got (nan|inf)$"):
+            ExperimentConfig.from_sources(config_file=str(path))
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig.from_sources(preset="desk")
@@ -308,6 +330,14 @@ class TestTrain:
         rc = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "tracklet" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_dataset_without_manifest_fails(self, tmp_path, tiny_dataset, capsys):
+        # tracklet directories the manifest does not list are not a dataset
+        root = tmp_path / "ds"
+        shutil.copytree(tiny_dataset, root)
+        (root / "manifest.json").unlink()
+        assert main(["train", "--dataset", str(root), "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == f"no tracklets found at {root}"
 
 
 class TestTrack:

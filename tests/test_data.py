@@ -229,17 +229,20 @@ class TestNativeFormat:
 
     def test_v2_stores_only_what_the_boxes_cannot_give(self, tmp_path):
         write_native(self.make_dataset(), tmp_path)
-        assert json.loads((tmp_path / "manifest.json").read_text())["format_version"] == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["format_version"] == 2
+        assert [set(entry) for entry in manifest["tracklets"]] == [{"dir"}, {"dir"}]
         for meta_path in sorted(tmp_path.rglob("meta.json")):
             meta = json.loads(meta_path.read_text())
             assert meta["format_version"] == 2
             assert set(meta) == {"format_version", "id", "category", "source", "timestamps", "boxes"}
 
     def check_oracle_block_ignored(self, tmp_path, version: int) -> None:
-        """Add the ``oracle`` block earlier writers stored (distractor tracks;
-        in version 1 also target masks and the box motion) to a fresh write:
-        it reads back as the fresh write does, bit for bit, without an
-        oracle."""
+        """Add what earlier writers stored to a fresh write: an ``id`` and a
+        ``split`` tag per manifest entry, and an ``oracle`` block per
+        tracklet (distractor tracks; in version 1 also target masks and the
+        box motion).  It reads back as the fresh write does, bit for bit, in
+        the same order, without an oracle."""
         ds = self.make_dataset()
         assert all(len(t.oracle.distractor_boxes) == 1 for t in ds)
         write_native(ds, tmp_path / "plain")
@@ -263,6 +266,8 @@ class TestNativeFormat:
         manifest_path = tmp_path / "old" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = version
+        for entry, t in zip(manifest["tracklets"], ds):
+            entry.update(id=t.id, split="train")
         manifest_path.write_text(json.dumps(manifest))
 
         old, plain = read_native(tmp_path / "old"), read_native(tmp_path / "plain")
@@ -292,25 +297,14 @@ class TestNativeFormat:
             for ba, bb in zip(a.gt_boxes, b.gt_boxes):
                 np.testing.assert_array_equal(ba.as_vector(), bb.as_vector())
 
-    def test_truncated_point_file_rejected(self, tmp_path):
-        ds = self.make_dataset()
-        write_native(ds, tmp_path)
-        victim = sorted(tmp_path.rglob("points_*.bin"))[0]
-        victim.write_bytes(victim.read_bytes() + b"\x00\x00")
-        with pytest.raises(ValueError, match="corrupt"):
-            read_native(tmp_path)
-
-    def test_non_finite_point_names_file_and_row(self, tmp_path):
-        write_native(self.make_dataset(), tmp_path)
-        victim = sorted(tmp_path.rglob("points_*.bin"))[1]
-        pts = np.frombuffer(victim.read_bytes(), dtype="<f4").reshape(-1, 3).copy()
-        pts[7, 1] = np.nan
-        pts[9, 0] = np.inf
-        victim.write_bytes(pts.tobytes())
-        with pytest.raises(ValueError, match=rf"{re.escape(str(victim))}: .*row 7\b"):
-            read_native(tmp_path)
-
     def test_empty_directory_is_empty_dataset(self, tmp_path):
+        assert read_native(tmp_path) == []
+
+    def test_no_manifest_is_empty_dataset(self, tmp_path):
+        # the manifest is the dataset: tracklet directories it does not list are not read
+        write_native(self.make_dataset(), tmp_path)
+        (tmp_path / "manifest.json").unlink()
+        assert len(list(tmp_path.glob("*/meta.json"))) == 2
         assert read_native(tmp_path) == []
 
     def test_missing_meta_rejected(self, tmp_path):
@@ -338,7 +332,6 @@ class TestNativeFormat:
             (with_entry({key: v for key, v in first.items() if key != "dir"}), "missing key 'dir'"),
             (json.dumps({**manifest, "tracklets": 5}), "tracklets is a JSON int, not an array"),
             (with_entry({**first, "dir": 3}), "tracklets entry 0 dir is a JSON int, not a string"),
-            (with_entry({**first, "split": 1}), "tracklets entry 0 split is a JSON int, not a string"),
         ]:
             manifest_path.write_text(bad)
             with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest_path))}: {message}"):
@@ -393,12 +386,6 @@ class TestNativeFormat:
         path = self.rewrite_meta(tmp_path, flatten_box)
         with pytest.raises(ValueError, match=rf"^{path}: size components must be positive"):
             read_native(tmp_path)
-
-    def test_split_filtering(self, tmp_path):
-        ds = self.make_dataset()
-        write_native(ds, tmp_path, splits={ds[0].id: "train", ds[1].id: "val"})
-        assert [t.id for t in read_native(tmp_path, split="val")] == [ds[1].id]
-        assert len(read_native(tmp_path)) == 2
 
 
 # LiDAR x-forward / camera z-forward permutation used by the real sensors
@@ -525,22 +512,6 @@ class TestKittiIngestion:
         assert frame.points.shape == (2, 3)
         np.testing.assert_allclose(frame.points, pts, atol=1e-6)
 
-    def test_corrupt_velodyne_rejected(self, tmp_path):
-        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
-        seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3))})
-        (seq_dir / "velodyne" / "000000.bin").write_bytes(b"\x00" * 10)
-        with pytest.raises(ValueError, match="corrupt"):
-            load_kitti_tracklets(seq_dir)
-
-    def test_non_finite_point_names_file_and_row(self, tmp_path):
-        pts = np.zeros((5, 3))
-        pts[3, 2] = -np.inf
-        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
-        seq_dir = write_kitti_sequence(tmp_path, labels, {0: pts})
-        path = seq_dir / "velodyne" / "000000.bin"
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*row 3\b"):
-            load_kitti_tracklets(seq_dir)
-
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -556,3 +527,43 @@ class TestKittiIngestion:
         path = seq_dir / "label_02" / "0000.txt"
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
             load_kitti_tracklets(seq_dir)
+
+
+def damage_point_file(path, columns: int, fault: str) -> str:
+    """Damage one packed float32 point file; return the start of the message
+    its read must raise after the file's path."""
+    if fault == "missing":
+        path.unlink()
+        return "missing point file"
+    raw = path.read_bytes()
+    if fault == "partial":
+        path.write_bytes(raw + b"\x00" * 8)
+        return rf"corrupt point file, row {len(raw) // (4 * columns)} is partial"
+    rows = np.frombuffer(raw, dtype="<f4").reshape(-1, columns).copy()
+    rows[3, 1] = np.nan
+    rows[4, 0] = -np.inf
+    path.write_bytes(rows.tobytes())
+    return r"frame points must be finite; row 3 is"
+
+
+@pytest.mark.parametrize("fault", ["missing", "partial", "non-finite"])
+@pytest.mark.parametrize("layout", ["native", "kitti"])
+def test_point_file_fault_names_file_and_row(tmp_path, layout, fault):
+    # both formats read their point files through one reader
+    if layout == "native":
+        write_native(make_synthetic_dataset(1, SceneSpec(n_frames=3), master_seed=13), tmp_path)
+        path, columns = tmp_path / "syn-13-0000" / "points_001.bin", 3
+
+        def read():
+            return read_native(tmp_path)
+    else:
+        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
+        seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((6, 3))})
+        path, columns = seq_dir / "velodyne" / "000000.bin", 4
+
+        def read():
+            return load_kitti_tracklets(seq_dir)
+    message = damage_point_file(path, columns, fault)
+    with pytest.raises(FileNotFoundError if fault == "missing" else ValueError,
+                       match=rf"^{re.escape(str(path))}: {message}"):
+        read()

@@ -25,7 +25,6 @@ from lidartrack.evaluation import (
     run_ope,
     score_predictions,
     success_auc,
-    weighted_overall,
 )
 from lidartrack.nn import Model, ModelConfig
 from lidartrack.pipeline import NetworkTracker, make_oracle_overrides, track_sequence
@@ -85,20 +84,6 @@ class TestPrecisionAuc:
 
     def test_infinite_error_scores_zero(self):
         assert abs(precision_auc([0.0, np.inf]) - 50.0) < 1e-12
-
-
-class TestWeightedOverall:
-    def test_spec_example(self):
-        cats = {
-            "car": (40.0, 40.0, 10),
-            "pedestrian": (80.0, 80.0, 30),
-        }
-        s, p = weighted_overall(cats)
-        assert abs(s - 70.0) < 1e-12 and abs(p - 70.0) < 1e-12
-
-    def test_single_category_identity(self):
-        s, p = weighted_overall({"car": (63.25, 41.5, 17)})
-        assert s == 63.25 and p == 41.5
 
 
 class TestZeroMotion:
@@ -245,15 +230,16 @@ class TestRunOpe:
         # the car tracklet is static, so zero-motion output stays perfect
         assert abs(report.categories["car"].success - 100.0) < 1e-9
 
-    def test_overall_is_frame_weighted_category_mean(self):
+    def test_overall_is_the_all_frames_curve(self):
+        # unequal frame counts per category: the overall score is each curve
+        # over every frame, not recomputed from the category means
         tracklets = small_mixed_dataset()
         report = run_ope(FailOnPedestrians(), tracklets)
-        cats = {
-            name: (m.success, m.precision, m.n_frames) for name, m in report.categories.items()
-        }
-        s, p = weighted_overall(cats)
-        assert abs(report.success - s) < 1e-12
-        assert abs(report.precision - p) < 1e-12
+        assert {name: m.n_frames for name, m in report.categories.items()} == {"car": 5, "pedestrian": 4}
+        overlaps = [o for t in tracklets for o in report.traces[t.id][0]]
+        errors = [e for t in tracklets for e in report.traces[t.id][1]]
+        assert report.success == success_auc(overlaps)
+        assert report.precision == precision_auc(errors)
 
     def test_deterministic_metrics(self):
         tracklets = small_mixed_dataset()

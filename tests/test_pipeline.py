@@ -422,14 +422,17 @@ class TestDistinctCrop:
         assert padded[1].n_cur_target > 1
 
 
+BAD_CROP_SETTINGS = [
+    ({"n_points": 0}, "n_points must be an integer >= 1, got 0"),
+    ({"n_points": 2.5}, "n_points must be an integer >= 1, got 2.5"),
+    ({"margin": -1.0}, "margin must be finite and >= 0, got -1.0"),
+    ({"margin": float("inf")}, "margin must be finite and >= 0, got inf"),
+    ({"margin": float("nan")}, "margin must be finite and >= 0, got nan"),
+]
+
+
 class TestNetworkTracker:
-    @pytest.mark.parametrize("setting, message", [
-        ({"n_points": 0}, "n_points must be an integer >= 1, got 0"),
-        ({"n_points": 2.5}, "n_points must be an integer >= 1, got 2.5"),
-        ({"margin": -1.0}, "margin must be finite and >= 0, got -1.0"),
-        ({"margin": float("inf")}, "margin must be finite and >= 0, got inf"),
-        ({"margin": float("nan")}, "margin must be finite and >= 0, got nan"),
-    ])
+    @pytest.mark.parametrize("setting, message", BAD_CROP_SETTINGS)
     def test_bad_setting_rejected_when_built(self, setting, message):
         with pytest.raises(ValueError, match=message):
             NetworkTracker(model32(), **setting)
@@ -617,6 +620,12 @@ class TestTraining:
         )
         base.update(kw)
         return TrainConfig(**base)
+
+    @pytest.mark.parametrize("setting, message", BAD_CROP_SETTINGS)
+    def test_bad_crop_setting_rejected(self, setting, message):
+        # the settings NetworkTracker rejects, with the same messages
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**setting)
 
     def test_lr_schedule(self):
         cfg = TrainConfig(lr=1e-3, lr_decay=0.1, lr_decay_every=20)
