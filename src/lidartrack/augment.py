@@ -21,7 +21,7 @@ previous translation, current translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def perturb_prev_box(b: Box3D, cfg: AugmentConfig, rng: np.random.Generator) -> 
     yaw = b.yaw
     if cfg.prev_box_yaw_shift > 0:
         yaw = yaw + rng.uniform(-cfg.prev_box_yaw_shift, cfg.prev_box_yaw_shift)
-    return replace(b, center=center, yaw=yaw)
+    return Box3D(center=center, size=b.size, yaw=yaw)
 
 
 def _mirror_points(points: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def _mirror_points(points: np.ndarray) -> np.ndarray:
 def _mirror_box(b: Box3D) -> Box3D:
     center = np.array(b.center)
     center[1] = -center[1]
-    return replace(b, center=center, yaw=-b.yaw)
+    return Box3D(center=center, size=b.size, yaw=-b.yaw)
 
 
 def _rigid_frame_transform(
@@ -86,10 +86,10 @@ def _rigid_frame_transform(
     if rot != 0.0:
         r = yaw_matrix(rot)
         points = (points - box.center) @ r.T + box.center
-        box = replace(box, yaw=box.yaw + rot)
+        box = Box3D(center=box.center, size=box.size, yaw=box.yaw + rot)
     if np.any(trans != 0.0):
         points = points + trans
-        box = replace(box, center=np.asarray(box.center) + trans)
+        box = Box3D(center=box.center + trans, size=box.size, yaw=box.yaw)
     return points, box
 
 

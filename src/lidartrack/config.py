@@ -197,9 +197,13 @@ def _coerce_one(key: str, value: Any, kind: Any) -> Any:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} must be a number, got {value!r}")
-        if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{key} must be finite, got an integer too large for a float") from None
+        if not math.isfinite(number):  # json.loads accepts NaN and Infinity
             raise ConfigError(f"{key} must be finite, got {value!r}")
-        return float(value)
+        return number
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")

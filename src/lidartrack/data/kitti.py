@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lidartrack.data.native import read_point_file
+from lidartrack.data.native import read_point_file, read_text
 from lidartrack.data.tracklets import Tracklet
 from lidartrack.geometry import Box3D
 from lidartrack.pointcloud import Frame
@@ -36,7 +36,7 @@ _CALIB_KEYS = ("Tr_velo_to_cam", "Tr_velo_cam")
 
 
 def _read_calib(path: Path) -> np.ndarray:
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if ":" not in line:
             continue
         key, rest = line.split(":", 1)
@@ -86,7 +86,7 @@ def load_kitti_tracklets(seq_dir) -> list[Tracklet]:
 
     # frame -> (box, category) lists keyed by track id, in file order
     per_track: dict[int, list[tuple[int, Box3D, str]]] = {}
-    for lineno, line in enumerate(label_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(label_path).splitlines(), 1):
         fields = line.split()
         if not fields:
             continue

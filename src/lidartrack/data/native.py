@@ -102,6 +102,15 @@ def write_native(tracklets: Sequence[Tracklet], root) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a text file; bytes that are not UTF-8 raise
+    ``ValueError('<path>: ...')``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_point_file(path: Path, timestamp: int, columns: int) -> Frame:
     """A frame from packed little-endian float32 rows of ``columns`` values.
 

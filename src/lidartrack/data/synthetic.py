@@ -80,8 +80,10 @@ class SceneSpec:
             raise ValueError("n_frames must be at least 1")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be non-negative")
-        if self.noise_sigma < 0 or self.clutter_density < 0:
-            raise ValueError("noise_sigma and clutter_density must be non-negative")
+        for name in ("noise_sigma", "clutter_density"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if not (0 <= self.speed_range[0] <= self.speed_range[1]):
             raise ValueError("speed_range must satisfy 0 <= lo <= hi")
 

@@ -38,6 +38,7 @@ from typing import Iterable, Iterator, Optional, Protocol, Sequence
 import numpy as np
 
 from lidartrack.data import MOTION_MODELS, SceneSpec, Tracklet, make_synthetic_dataset
+from lidartrack.data.native import read_text
 from lidartrack.geometry import Box3D, center_distance, iou3d, points_in_box
 from lidartrack.pointcloud import Frame
 
@@ -423,42 +424,44 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     listed tracklet id must exist in ``tracklets`` and cover exactly its
     frame count. Wall times of the tracked frames are taken from the file.
     A line that is not JSON, lacks a key, or holds a non-integer ``frame_index``,
-    an invalid box or a non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``.
+    an invalid box or a non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``;
+    bytes that are not UTF-8, and ids or frame indices that do not match the
+    tracklets, raise ``ValueError('<path>: ...')``.
     """
     tracklets = list(tracklets)
     by_id = {t.id: t for t in tracklets}
     # per tracklet id: (frame index, box, wall ms) in file order
     rows_by_id: dict[str, list[tuple[int, Box3D, float]]] = defaultdict(list)
-    with open(str(path), "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                tid = str(row["tracklet_id"])
-                wall = float(row.get("wall_ms", 0.0))
-                if not (np.isfinite(wall) and wall >= 0.0):
-                    raise ValueError(f"wall_ms must be finite and non-negative, got {wall}")
-                if type(row["frame_index"]) is not int:  # refuse a JSON float, string or bool
-                    raise ValueError(f"frame_index must be a JSON integer, got {row['frame_index']!r}")
-                parsed = (
-                    row["frame_index"],
-                    Box3D.from_vector(np.asarray(row["box"], dtype=np.float64)),
-                    wall,
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            rows_by_id[tid].append(parsed)
+    # text mode reads every line ending as "\n", as iterating the file would
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            tid = str(row["tracklet_id"])
+            wall = float(row.get("wall_ms", 0.0))
+            if not (np.isfinite(wall) and wall >= 0.0):
+                raise ValueError(f"wall_ms must be finite and non-negative, got {wall}")
+            if type(row["frame_index"]) is not int:  # refuse a JSON float, string or bool
+                raise ValueError(f"frame_index must be a JSON integer, got {row['frame_index']!r}")
+            parsed = (
+                row["frame_index"],
+                Box3D.from_vector(np.asarray(row["box"], dtype=np.float64)),
+                wall,
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        rows_by_id[tid].append(parsed)
 
     unknown = sorted(set(rows_by_id) - set(by_id))
     if unknown:
-        raise ValueError(f"predictions reference unknown tracklet ids: {unknown}")
+        raise ValueError(f"{path}: predictions reference unknown tracklet ids: {unknown}")
     missing = sorted(set(by_id) - set(rows_by_id))
     if missing:
-        raise ValueError(f"no predictions for tracklet ids: {missing}")
+        raise ValueError(f"{path}: no predictions for tracklet ids: {missing}")
 
     traces = {}
     wall_ms: list[float] = []
@@ -468,7 +471,7 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
         indices = [index for index, _, _ in rows]
         if indices != list(range(len(t.frames))):
             raise ValueError(
-                f"tracklet {tid!r}: frame indices {indices} do not cover "
+                f"{path}: tracklet {tid!r}: frame indices {indices} do not cover "
                 f"0..{len(t.frames) - 1}"
             )
         traces[tid] = _score_boxes([box for _, box, _ in rows], t.gt_boxes)

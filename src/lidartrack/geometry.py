@@ -239,10 +239,21 @@ def points_in_box(points: np.ndarray, b: Box3D) -> np.ndarray:
         raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    local = world_to_canonical(pts, b)
+    return _in_box(pts, b)
+
+
+def _in_box(points: np.ndarray, b: Box3D) -> np.ndarray:
+    """:func:`points_in_box` of (N, 3) float64 rows already known finite, such
+    as the rows of a ``Frame``: the same mask without the input checks."""
+    local = np.abs(world_to_canonical(points, b))
     w, l, h = b.size
-    half = np.array([l / 2, w / 2, h / 2]) + CONTAINMENT_ATOL
-    return np.all(np.abs(local) <= half, axis=1)
+    # three column compares: a reduction over a 3-wide axis costs several
+    # times more per row
+    return (
+        (local[:, 0] <= l / 2 + CONTAINMENT_ATOL)
+        & (local[:, 1] <= w / 2 + CONTAINMENT_ATOL)
+        & (local[:, 2] <= h / 2 + CONTAINMENT_ATOL)
+    )
 
 
 def world_to_canonical(points: np.ndarray, b: Box3D) -> np.ndarray:

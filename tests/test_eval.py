@@ -7,6 +7,8 @@ coincides with the box center, making the constant-velocity lock-on exact.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -304,7 +306,22 @@ class TestScorePredictions:
         path.write_text(
             '{"tracklet_id": "nope", "frame_index": 0, "box": [0,0,0,1,1,1,0], "dynamic": false, "wall_ms": 0.0}\n'
         )
-        with pytest.raises(ValueError, match="nope"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*unknown tracklet ids: \['nope'\]"):
+            score_predictions(path, [t])
+
+    def test_missing_tracklet_names_file(self, tmp_path):
+        a, b = (generate_synthetic_tracklet(SceneSpec(n_frames=2, seed=s)) for s in (21, 22))
+        path = tmp_path / "preds.jsonl"
+        export_predictions([(a.id, ZeroMotionTracker().track(list(a.frames), a.gt_boxes[0]))], path)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no predictions for tracklet ids: \['{b.id}'\]"):
+            score_predictions(path, [a, b])
+
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        t = generate_synthetic_tracklet(SceneSpec(n_frames=2, seed=21))
+        path = tmp_path / "preds.jsonl"
+        export_predictions([(t.id, ZeroMotionTracker().track(list(t.frames), t.gt_boxes[0]))], path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
             score_predictions(path, [t])
 
     def test_frame_count_mismatch_rejected(self, tmp_path):
@@ -314,7 +331,7 @@ class TestScorePredictions:
         export_predictions([(t.id, res)], path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="frame"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: tracklet .* do not cover 0\.\.2"):
             score_predictions(path, [t])
 
     @pytest.mark.parametrize(

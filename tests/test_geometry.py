@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from lidartrack.geometry import (
+    CONTAINMENT_ATOL,
     RTM,
     Box3D,
     apply_rtm,
@@ -224,7 +225,62 @@ class TestBoxKeyPoints:
             assert points_in_box(box_key_points(b), b).all()
 
 
+def reference_points_in_box(points: np.ndarray, b: Box3D) -> np.ndarray:
+    """The containment test as one reduction over the 3-wide axis: the form
+    ``points_in_box`` replaced with three column compares."""
+    w, l, h = b.size
+    half = np.array([l / 2, w / 2, h / 2]) + CONTAINMENT_ATOL
+    return np.all(np.abs(world_to_canonical(points, b)) <= half, axis=1)
+
+
 class TestPointsInBox:
+    def test_equals_reference_on_random_points(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            b = random_box(rng)
+            pts = b.center + rng.uniform(-2.0, 2.0, size=(int(rng.integers(0, 300)), 3))
+            np.testing.assert_array_equal(points_in_box(pts, b), reference_points_in_box(pts, b))
+
+    def test_equals_reference_on_and_beside_each_face(self):
+        rng = np.random.default_rng(13)
+        for b in [Box3D(center=(0, 0, 0), size=(1, 2, 0.5), yaw=0.0)] + [random_box(rng) for _ in range(30)]:
+            w, l, h = b.size
+            half = np.array([l / 2, w / 2, h / 2])
+            local = []
+            for axis in range(3):
+                for sign in (-1.0, 1.0):
+                    for offset in (-2 * CONTAINMENT_ATOL, -CONTAINMENT_ATOL, 0.0,
+                                   CONTAINMENT_ATOL, 2 * CONTAINMENT_ATOL):
+                        p = rng.uniform(-0.9, 0.9, size=3) * half
+                        p[axis] = sign * (half[axis] + offset)
+                        local.append(p)
+            pts = canonical_to_world(np.array(local), b)
+            got = points_in_box(pts, b)
+            np.testing.assert_array_equal(got, reference_points_in_box(pts, b))
+            if b.yaw == 0.0:  # exact canonical coordinates: the slack is inclusive
+                np.testing.assert_array_equal(got, np.tile([True] * 4 + [False], 6))
+
+    def test_equals_reference_on_zero_and_one_row(self):
+        b = Box3D(center=(0.5, -1.0, 2.0), size=(1.2, 2.0, 0.8), yaw=0.9)
+        empty = points_in_box(np.zeros((0, 3)), b)
+        assert empty.shape == (0,) and empty.dtype == bool
+        for p in ([[0.5, -1.0, 2.0]], [[9.0, 9.0, 9.0]]):
+            np.testing.assert_array_equal(points_in_box(np.array(p), b), reference_points_in_box(np.array(p), b))
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0.0, np.nan, 0.0]], "points must be finite"),
+            ([[np.inf, 0.0, 0.0]], "points must be finite"),
+            ([[0.0, 0.0, -np.inf]], "points must be finite"),
+            (np.zeros((4, 2)), r"expected \(N, 3\) points"),
+            (np.zeros(3), r"expected \(N, 3\) points"),
+        ],
+    )
+    def test_public_form_rejects_bad_points(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            points_in_box(np.asarray(points, dtype=np.float64), Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0))
+
     def test_center_inside(self):
         b = Box3D(center=(1, 2, 3), size=(1, 2, 0.5), yaw=1.0)
         assert points_in_box(np.array([[1.0, 2.0, 3.0]]), b)[0]

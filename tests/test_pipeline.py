@@ -537,6 +537,26 @@ def reference_crop(f, b, margin=2.0, n=1024, rng_seed=0):
     return Frame(points=f.points[idx], timestamp=f.timestamp)
 
 
+class TestRowsInBoxes:
+    def test_equals_both_boxes_on_every_row_then_picked(self):
+        # the reference tests every row against both boxes, then keeps each
+        # row's own frame's answer
+        rng = np.random.default_rng(31)
+        for n_prev, n_cur in [(0, 5), (1, 1), (5, 0), (128, 128), (700, 300)]:
+            prev_box = Box3D(center=rng.normal(size=3), size=rng.uniform(0.5, 3, size=3), yaw=rng.uniform(-3, 3))
+            cur_box = Box3D(center=rng.normal(size=3), size=rng.uniform(0.5, 3, size=3), yaw=rng.uniform(-3, 3))
+            st = build_st_cloud(
+                Frame(points=rng.uniform(-2.5, 2.5, size=(n_prev, 3))),
+                Frame(points=rng.uniform(-2.5, 2.5, size=(n_cur, 3)), timestamp=1),
+            )
+            want = np.where(st.prev_rows, points_in_box(st.xyz, prev_box), points_in_box(st.xyz, cur_box))
+            got = pipeline._rows_in_boxes(st, prev_box, cur_box)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, want)
+            if len(st) >= 10:  # both answers occur
+                assert want.any() and not want.all()
+
+
 class TestPrepareCrop:
     def test_matches_reference_crop(self, monkeypatch):
         cfg = ExperimentConfig.from_sources(preset="desk")

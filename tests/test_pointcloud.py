@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lidartrack.geometry import RTM, Box3D, box_key_points
+from lidartrack.geometry import RTM, Box3D, box_key_points, points_in_box
 from lidartrack.pointcloud import (
     EmptyRegionError,
     Frame,
@@ -115,6 +115,25 @@ class TestCropAndSample:
         assert crop_and_sample(make_frame(pts, t=17), UNIT_BOX, n=8, rng_seed=0).timestamp == 17
         assert crop_and_pad(make_frame(pts, t=17), UNIT_BOX, n=8, rng_seed=0).timestamp == 17
 
+    @pytest.mark.parametrize("n", [16, 1024])  # sampled, and every candidate
+    def test_rows_are_read_only_copies_of_the_selected_rows(self, n):
+        rng = np.random.default_rng(21)
+        frame = make_frame(rng.uniform(-1.5, 1.5, size=(400, 3)), t=3)
+        enlarged = Box3D(center=UNIT_BOX.center, size=UNIT_BOX.size + 0.5, yaw=UNIT_BOX.yaw)
+        selected = np.flatnonzero(points_in_box(frame.points, enlarged))
+        cand = frame.points[selected]
+        selected = selected[np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0]))]
+        if selected.size >= n:
+            selected = np.random.default_rng(4).choice(selected, size=n, replace=False)
+        out = crop_and_sample(frame, UNIT_BOX, margin=0.25, n=n, rng_seed=4)
+        np.testing.assert_array_equal(out.points, frame.points[selected])
+        padded = crop_and_pad(frame, UNIT_BOX, margin=0.25, n=n, rng_seed=4)
+        for crop in (out, padded):
+            assert crop.points.dtype == np.float64 and crop.points.flags.c_contiguous
+            assert not crop.points.flags.writeable
+            assert not np.shares_memory(crop.points, frame.points)
+            assert crop.timestamp == 3
+
     def test_row_order_of_input_is_irrelevant(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-2, 2, size=(400, 3))
@@ -122,6 +141,33 @@ class TestCropAndSample:
         a = crop_and_sample(make_frame(pts), UNIT_BOX, margin=1.0, n=64, rng_seed=5)
         b = crop_and_sample(make_frame(pts[perm]), UNIT_BOX, margin=1.0, n=64, rng_seed=5)
         np.testing.assert_array_equal(a.points, b.points)
+
+
+class TestSTCloudChecks:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, np.nan, 0.0, 0.0], "cloud points must be finite"),
+            ([np.inf, 0.0, 0.0, 1.0], "cloud points must be finite"),
+            ([0.0, 0.0, 0.0, 0.5], "temporal channel must be 0 or 1"),
+        ],
+    )
+    def test_bad_rows_rejected(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            STCloud(points=np.array([[0.0, 0.0, 0.0, 0.0], row]))
+
+    def test_rows_out_of_time_order_rejected(self):
+        with pytest.raises(ValueError, match="must precede"):
+            STCloud(points=np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]))
+
+    def test_built_and_channelled_clouds_pass_the_checks(self):
+        rng = np.random.default_rng(22)
+        st = build_st_cloud(make_frame(rng.normal(size=(6, 3))), make_frame(rng.normal(size=(4, 3)), t=1))
+        checked = STCloud(points=st.points)
+        np.testing.assert_array_equal(checked.points, st.points)
+        chan = with_channels(st, UNIT_BOX)
+        assert chan.points is st.points
+        assert chan.targetness.shape == (10,) and chan.distmap.shape == (10, 9)
 
 
 class TestBuildSTCloud:
@@ -200,6 +246,19 @@ class TestBoxAwareDistmap:
         dm = box_aware_distmap(build_st_cloud(prev, cur), UNIT_BOX)
         assert np.all(dm[5:] == 0.0)
         assert np.all(dm >= 0.0)
+
+    def test_equals_reference_reduction_bit_for_bit(self):
+        # the column sum adds in the order of np.sum over the last axis
+        rng = np.random.default_rng(23)
+        for n_prev, n_cur in [(0, 3), (1, 0), (37, 12), (600, 250)]:
+            box = Box3D(center=rng.normal(size=3), size=rng.uniform(0.5, 4, size=3), yaw=rng.uniform(-3, 3))
+            st = build_st_cloud(
+                make_frame(rng.normal(size=(n_prev, 3)) * 3), make_frame(rng.normal(size=(n_cur, 3)), t=1)
+            )
+            want = np.zeros((len(st), 9))
+            diff = st.points[:n_prev, None, :3] - box_key_points(box)[None, :, :]
+            want[:n_prev] = np.sqrt(np.sum(diff * diff, axis=-1))
+            assert np.array_equal(box_aware_distmap(st, box), want)
 
     def test_matches_naive_distance_oracle(self):
         rng = np.random.default_rng(10)
