@@ -195,9 +195,9 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
         out / CHECKPOINT_NAME,
         extra={"epochs_completed": cfg.epochs, "seed": cfg.seed},
     )
-    (out / "metrics.jsonl").write_text(
-        "".join(json.dumps(row) + "\n" for row in metrics), encoding="utf-8"
-    )
+    # a resumed run appends its epochs' rows to the log the earlier run wrote
+    with open(out / "metrics.jsonl", "a" if args.resume else "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(row) + "\n" for row in metrics)
     last = metrics[-1] if metrics else {}
     print(
         f"trained epochs {start_epoch}..{cfg.epochs - 1} on {len(pairs)} pairs; "

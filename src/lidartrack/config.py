@@ -5,7 +5,8 @@ the network widths) so that config files stay diffable and the resolved
 snapshot written next to every run's outputs fully reproduces it together
 with the seed. Resolution order: built-in defaults, then a named preset,
 then the config file, then explicit flag overrides; unknown keys and wrong
-types are hard errors.
+types are hard errors.  A config file must be valid over its preset on its
+own, so every error its contents cause names the file.
 
 Each setting is declared, defaulted and range-checked once, in the module
 config that uses it (``TrainConfig``, ``ModelConfig``, ``AugmentConfig``,
@@ -160,11 +161,16 @@ class ExperimentConfig:
                 raw = json.loads(Path(config_file).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, and UnicodeDecodeError for bytes not UTF-8
                 raise ConfigError(f"{config_file}: not valid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"{config_file}: top level must be a JSON object")
             merged.update(raw)
+            # the file must be valid over its preset, so its errors name it
+            try:
+                cls(**_coerced(merged))
+            except ConfigError as exc:
+                raise ConfigError(f"{config_file}: {exc}") from exc
         if overrides:
             merged.update(overrides)
         return cls(**_coerced(merged))

@@ -49,6 +49,9 @@ def _read_calib(path: Path) -> np.ndarray:
                 raise ValueError(f"{path}: {key} must have 12 values, found {vals.size}")
             tr = np.eye(4)
             tr[:3, :] = vals.reshape(3, 4)
+            # every label box maps through its inverse: a bad transform is this file's fault
+            if not (np.isfinite(vals).all() and np.linalg.det(tr[:3, :3]) != 0.0):
+                raise ValueError(f"{path}: {key} must be finite and invertible")
             return tr
     raise ValueError(f"{path}: no LiDAR-to-camera transform ({' or '.join(_CALIB_KEYS)})")
 

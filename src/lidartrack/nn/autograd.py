@@ -4,8 +4,12 @@ A Tensor wraps an ndarray together with the recipe that produced it: its
 parent Tensors and a backward function mapping the output gradient to one
 gradient per parent (or None for parents that do not need one).  Calling
 backward() on a scalar Tensor walks the recorded graph in reverse
-topological order and accumulates gradients into every Tensor that
-requires them.
+topological order and accumulates gradients into every leaf that requires
+them.  A graph is walked once and released as it goes: each interior node
+drops its gradient, rule and parents once its rule has run, so an
+activation is freed as soon as the last rule that reads it has run, and a
+batch never holds all its activations and all its gradients at once.  A
+second walk through a released node raises ``ValueError``.
 
 The op set is deliberately small: affine layers (plain, and joined with a
 per-block pooled row), ReLU, max pooling over row blocks of any sizes,
@@ -29,8 +33,9 @@ Those prompt frees let glibc trim the heap after every frame and fault it
 back in on the next (~2,700 minor faults per frame at 1024 points), so the
 first ``no_grad()`` of a process pins glibc's mmap and trim thresholds with
 ``mallopt`` (:func:`pin_heap`; training pins them too): the faults drop to ~0
-and a 1024-point frame takes about a fifth less time.  This is
-process-global, changes no value and is a no-op off glibc.
+and a 1024-point frame takes about a fifth less time.  The trim threshold
+holds a whole desk batch, whose released graph backward frees at once.  This
+is process-global, changes no value and is a no-op off glibc.
 """
 
 from __future__ import annotations
@@ -65,11 +70,16 @@ BackwardFn = Callable[[np.ndarray], tuple]
 # process-wide recording switch, flipped only by no_grad()
 _recording = True
 
-# glibc malloc thresholds, pinned once per process by pin_heap(): 2x
-# the largest block a process that tracks and trains frees again and again, a
-# desk batch's activation (32 x 2 x 128 rows x 256 float32 = 8 MiB).
+# glibc malloc thresholds, pinned once per process by pin_heap().  Blocks
+# below the mmap threshold come from the heap: 2x the largest block a process
+# that tracks and trains frees again and again, a desk batch's activation
+# (32 x 2 x 128 rows x 256 float32 = 8 MiB).  glibc trims the heap when its
+# whole free top chunk passes the trim threshold, and backward frees a desk
+# batch's graph at once: the top chunk then reached 58-85 MiB of a 118-124 MiB
+# heap (mallinfo2 keepcost, four data seeds), so 128 MiB keeps a whole batch.
+# mallopt takes a C int: keep both below 2**31.
 MMAP_THRESHOLD_BYTES = 16 << 20
-TRIM_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 128 << 20
 _heap_pinned = False
 
 
@@ -169,24 +179,43 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g: np.ndarray) -> tuple:
+    """The rule of a node whose graph has been walked; backward refuses it."""
+    raise ValueError("this node was released by an earlier backward")
+
+
 def backward(root: Tensor) -> None:
-    """Accumulate gradients of a scalar root into every requiring Tensor."""
+    """Accumulate gradients of a scalar root into every requiring leaf.
+
+    Walks the graph once and releases it as it goes: once an interior
+    node's rule has run, the node drops its gradient, rule and parents, so
+    each activation is freed when the last rule that reads it has run.
+    Walking a released node again raises ``ValueError``.
+    """
     if root.data.shape != ():
         raise ValueError(f"backward needs a scalar, got shape {root.data.shape}")
     if not root.requires_grad:
         raise ValueError("root does not depend on any parameter")
+    order = _topo_order(root)
+    for node in order:
+        if node.backward_fn is _released:
+            raise ValueError(f"op {node.op!r} was released by an earlier backward; "
+                             "a graph can be walked once")
     root.grad = np.ones((), dtype=root.data.dtype)
-    for node in reversed(_topo_order(root)):
-        if node.backward_fn is None or node.grad is None:
+    while order:
+        node = order.pop()
+        if node.backward_fn is None:
             continue
-        parent_grads = node.backward_fn(node.grad)
-        if len(parent_grads) != len(node.parents):
-            raise ValueError(f"op {node.op!r} returned {len(parent_grads)} gradients "
-                             f"for {len(node.parents)} parents")
-        for parent, g in zip(node.parents, parent_grads):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            parent_grads = node.backward_fn(node.grad)
+            if len(parent_grads) != len(node.parents):
+                raise ValueError(f"op {node.op!r} returned {len(parent_grads)} gradients "
+                                 f"for {len(node.parents)} parents")
+            for parent, g in zip(node.parents, parent_grads):
+                if g is None or not parent.requires_grad:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad, node.backward_fn, node.parents = None, _released, ()
 
 
 def _as2d(t: Tensor, op: str) -> None:

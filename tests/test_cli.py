@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -160,8 +161,19 @@ class TestConfig:
     def test_non_finite_float_names_key(self, tmp_path, key, literal):
         path = tmp_path / "c.json"
         path.write_text(f'{{"{key}": {literal}}}\n', encoding="utf-8")
-        with pytest.raises(ConfigError, match=rf"^{key} must be finite, got (nan|inf)$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {key} must be finite, got (nan|inf)$"):
             ExperimentConfig.from_sources(config_file=str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"epochz": 3}', r"unknown config keys: \['epochz'\]"),
+        (b'{"epochs": 0}', "epochs and batch_size must be positive"),
+        (b'{"seed": 1}\xff', r"not valid JSON \('utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_file_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {message}"):
+            ExperimentConfig.from_sources(preset="desk", config_file=str(path), overrides={"seed": 2})
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig.from_sources(preset="desk")
@@ -241,7 +253,7 @@ class TestGenerate:
         rc = main(["generate", "--out", str(tmp_path / "ds"), "--config", str(path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["message"] == "lr must be finite, got an integer too large for a float"
+        assert err["message"] == f"{path}: lr must be finite, got an integer too large for a float"
 
     def test_no_tracklets_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_tracklets=0)
@@ -294,6 +306,19 @@ class TestTrain:
         assert [r["epoch"] for r in rows] == [2, 3]
         _, extra = load_checkpoint(out / "checkpoint.lidartrack")
         assert extra["epochs_completed"] == 4
+
+    def test_resume_into_the_same_out_keeps_earlier_rows(self, tmp_path, tiny_dataset, trained):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+
+        def train_into(epochs, *resume):
+            cfg = write_config(tmp_path / "c.json", **{**TINY, "epochs": epochs})
+            assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                         "--config", cfg, *resume]) == 0
+            return [json.loads(l)["epoch"] for l in (out / "metrics.jsonl").read_text().splitlines()]
+
+        assert train_into(4, "--resume", str(out / "checkpoint.lidartrack")) == [0, 1, 2, 3]
+        assert train_into(2) == [0, 1]  # a fresh run replaces the log
 
     def test_resume_past_target_fails(self, tmp_path, tiny_dataset, trained):
         cfg = write_config(tmp_path / "c.json", **TINY)  # epochs=2, already done

@@ -511,6 +511,15 @@ class TestKittiIngestion:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: could not convert string to float"):
             load_kitti_tracklets(seq_dir)
 
+    @pytest.mark.parametrize("calib_rot", [np.zeros((3, 3)), np.full((3, 3), np.nan)])
+    def test_singular_or_non_finite_calib_names_file(self, tmp_path, calib_rot):
+        # every label box maps through the inverse, so the label file is not at fault
+        labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]
+        seq_dir = write_kitti_sequence(tmp_path, labels, {0: np.zeros((0, 3))}, calib_rot)
+        path = seq_dir / "calib" / "0000.txt"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Tr_velo_to_cam must be finite and invertible$"):
+            load_kitti_tracklets(seq_dir)
+
     @pytest.mark.parametrize("part", ["calib", "label_02"])
     def test_non_utf8_text_names_file(self, tmp_path, part):
         labels = [label_row(0, 0, (0, 0, 10), (1.6, 1.8, 4.0), 0.0)]

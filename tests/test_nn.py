@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -311,6 +312,66 @@ class TestNoGrad:
             np.testing.assert_array_equal(got, want)
 
 
+class TestRelease:
+    """backward walks a graph once and frees it as it goes."""
+
+    @staticmethod
+    def seg_loss(model):
+        rng = np.random.default_rng(8)
+        logits = segment_forward_batched(rng.normal(size=(16, 14)), model, batch=2)
+        return logits, cross_entropy(logits, rng.integers(0, 2, size=16))
+
+    def test_activations_freed_while_root_and_logits_live(self):
+        logits, loss = self.seg_loss(f64_model())
+        hidden, stack = {}, [logits]
+        while stack:
+            node = stack.pop()
+            if node.op == "relu":
+                hidden[id(node)] = weakref.ref(node.data)
+            stack.extend(node.parents)
+        del node
+        assert len(hidden) == 3  # two trunk hidden layers and the head's
+        backward(loss)
+        assert [ref() for ref in hidden.values()] == [None] * 3
+        assert logits.parents == () and loss.parents == ()
+
+    def test_leaf_gradients_match_a_kept_graph(self):
+        model = f64_model()
+        _, loss = self.seg_loss(model)
+        backward(loss)
+        released = [p.grad for p in model.parameters()]
+        zero_grad(model.parameters())
+        _, loss = self.seg_loss(model)
+        # reference: the same walk without the release
+        for node in reversed(ag._topo_order(loss)):
+            node.grad = np.ones(()) if node is loss else node.grad
+            if node.backward_fn is not None and node.grad is not None:
+                for parent, g in zip(node.parents, node.backward_fn(node.grad)):
+                    if g is not None and parent.requires_grad:
+                        parent.grad = g if parent.grad is None else parent.grad + g
+        assert sum(g is not None for g in released) == 10  # the segmentation network's five layers
+        for got, p in zip(released, model.parameters()):
+            np.testing.assert_array_equal(got, p.grad)
+
+    def test_second_walk_raises_naming_the_op(self):
+        model = f64_model()
+        _, loss = self.seg_loss(model)
+        backward(loss)
+        grads = [p.grad for p in model.parameters()]
+        with pytest.raises(ValueError, match="op 'cross_entropy' was released by an earlier backward"):
+            backward(loss)
+        assert all(p.grad is g for g, p in zip(grads, model.parameters()))
+
+    def test_root_sharing_a_released_node_raises_before_any_gradient(self):
+        p = param([1.0, -2.0])
+        shared = ag.scale(p, 3.0)
+        backward(huber(shared, np.zeros(2)))
+        before = p.grad.copy()
+        with pytest.raises(ValueError, match="op 'scale' was released"):
+            backward(huber(ag.add(shared, p), np.zeros(2)))
+        np.testing.assert_array_equal(p.grad, before)
+
+
 class TestHeapPin:
     """The first no_grad() or train() of a process pins glibc's malloc thresholds."""
 
@@ -400,6 +461,38 @@ class TestHeapPin:
         frames, faults = (int(v) for v in proc.stdout.split())
         assert frames >= 10
         assert faults / frames < 50, f"{faults} minor faults over {frames} frames"
+
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are pinned on glibc only")
+    def test_desk_training_does_not_fault_per_batch(self):
+        # backward frees a whole batch's graph at once; the trim threshold
+        # must keep that memory on the heap for the next batch
+        script = textwrap.dedent("""
+            import resource
+            from dataclasses import replace
+            from lidartrack.config import ExperimentConfig
+            from lidartrack.data import make_synthetic_dataset, make_training_pairs
+            from lidartrack.nn import Model
+            from lidartrack.pipeline import train
+
+            cfg = ExperimentConfig.from_sources(preset="desk")
+            tracklets = make_synthetic_dataset(4, cfg.scene_template(), master_seed=3,
+                                               motions=cfg.motion_cycle())
+            pairs = make_training_pairs(tracklets)[:64]
+            tc = replace(cfg, epochs=1).train_config()
+            assert (tc.n_points, tc.batch_size) == (128, 32)
+            model = Model(cfg.model_config())
+            train(model, pairs, tc)  # warm-up: the heap grows to a batch's size
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(model, pairs, tc)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(len(pairs) // tc.batch_size, after - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        batches, faults = (int(v) for v in proc.stdout.split())
+        assert batches == 2
+        assert faults / batches < 50, f"{faults} minor faults over {batches} batches"
 
 
 class TestSegmentForward:
