@@ -12,11 +12,12 @@ Two independent mechanisms:
   target points participate; scene clutter is cropped later and is not
   part of the inputs here.
 
-Every sampled value is returned in an AugmentSample so callers and tests
-can reconstruct the applied transforms exactly.  Draws occur only for
-knobs with a nonzero range, which makes the all-zero config a bit-exact
-identity; draw order is flip coin, previous rotation, current rotation,
-previous translation, current translation.
+The two yaw ranges are set in degrees and converted where they are drawn;
+every sampled value (angles in radians) is returned in an AugmentSample so
+callers and tests can reconstruct the applied transforms exactly.  Draws
+occur only for knobs with a nonzero range, which makes the all-zero config
+a bit-exact identity; draw order is flip coin, previous rotation, current
+rotation, previous translation, current translation.
 """
 
 from __future__ import annotations
@@ -33,17 +34,18 @@ __all__ = ["AugmentConfig", "AugmentSample", "perturb_prev_box", "motion_augment
 @dataclass(frozen=True)
 class AugmentConfig:
     flip_prob: float = 0.5
-    rot_range: float = float(np.deg2rad(10.0))
+    rot_range_deg: float = 10.0
     trans_range: float = 0.3
     prev_box_shift: float = 0.3
-    prev_box_yaw_shift: float = float(np.deg2rad(10.0))
+    prev_box_yaw_shift_deg: float = 10.0
 
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        for name in ("rot_range", "trans_range", "prev_box_shift", "prev_box_yaw_shift"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("rot_range_deg", "trans_range", "prev_box_shift", "prev_box_yaw_shift_deg"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ def perturb_prev_box(b: Box3D, cfg: AugmentConfig, rng: np.random.Generator) -> 
     if cfg.prev_box_shift > 0:
         center[:2] += rng.uniform(-cfg.prev_box_shift, cfg.prev_box_shift, size=2)
     yaw = b.yaw
-    if cfg.prev_box_yaw_shift > 0:
-        yaw = yaw + rng.uniform(-cfg.prev_box_yaw_shift, cfg.prev_box_yaw_shift)
+    if cfg.prev_box_yaw_shift_deg > 0:
+        shift = np.deg2rad(cfg.prev_box_yaw_shift_deg)
+        yaw = yaw + rng.uniform(-shift, shift)
     return Box3D(center=center, size=b.size, yaw=yaw)
 
 
@@ -110,8 +113,9 @@ def motion_augment(
         prev_pts, prev_box = _mirror_points(prev_pts), _mirror_box(prev_box)
         cur_pts, cur_box = _mirror_points(cur_pts), _mirror_box(cur_box)
 
-    rot_prev = float(rng.uniform(-cfg.rot_range, cfg.rot_range)) if cfg.rot_range > 0 else 0.0
-    rot_cur = float(rng.uniform(-cfg.rot_range, cfg.rot_range)) if cfg.rot_range > 0 else 0.0
+    rot_range = np.deg2rad(cfg.rot_range_deg)
+    rot_prev = float(rng.uniform(-rot_range, rot_range)) if rot_range > 0 else 0.0
+    rot_cur = float(rng.uniform(-rot_range, rot_range)) if rot_range > 0 else 0.0
     if cfg.trans_range > 0:
         trans_prev = rng.uniform(-cfg.trans_range, cfg.trans_range, size=3)
         trans_cur = rng.uniform(-cfg.trans_range, cfg.trans_range, size=3)

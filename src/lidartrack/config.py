@@ -8,11 +8,11 @@ then the config file, then explicit flag overrides; unknown keys and wrong
 types are hard errors.  A config file must be valid over its preset on its
 own, so every error its contents cause names the file.
 
-Each setting is declared, defaulted and range-checked once, in the module
-config that uses it (``TrainConfig``, ``ModelConfig``, ``AugmentConfig``,
-``SceneSpec``). Those are built from this namespace by shared field name;
-only the keys whose form differs are converted here: the two ``*_deg``
-angles, the ``speed_min``/``speed_max`` pair and the ``"mixed"`` motion.
+Each key is declared, defaulted and range-checked once, in the unit a user
+writes, by the module config that uses it (``SceneSpec``, ``ModelConfig``,
+``TrainConfig``, ``AugmentConfig``). ``ExperimentConfig`` is generated from
+their fields, less those ``_UNEXPOSED`` lists, and builds each module config
+back by shared field name, so a module's complaint names the user's key.
 
 Two presets ship with the package. ``paper`` carries the full-scale
 training values (batch 256, 40 epochs, learning rate 1e-3 decayed 10x
@@ -25,18 +25,14 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, TypeVar, get_type_hints
-
-import numpy as np
 
 from lidartrack.augment import AugmentConfig
 from lidartrack.data import MOTION_MODELS, SceneSpec
 from lidartrack.nn import ModelConfig
 from lidartrack.pipeline import TrainConfig
-from lidartrack.pointcloud import DEFAULT_MARGIN, DEFAULT_POINTS
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS"]
 
@@ -45,53 +41,36 @@ class ConfigError(ValueError):
     """Invalid configuration input; the CLI maps this to exit code 2."""
 
 
-# The keys converted below (`augment_config`, `scene_template`) reach their
-# module config under another name: module field -> the key a user writes,
-# so a module's complaint names the user's key.
-_USER_KEYS = {
-    "rot_range": "rot_range_deg",
-    "prev_box_yaw_shift": "prev_box_yaw_shift_deg",
-    "speed_range": "(speed_min, speed_max)",
+# Each module config a run is built from, with its fields that no user sets.
+_UNEXPOSED = {
+    SceneSpec: ("clutter_density", "initial_center", "initial_yaw"),
+    ModelConfig: ("dtype",),
+    TrainConfig: ("augment", "start_epoch"),
+    AugmentConfig: (),
 }
-_USER_FIELD = re.compile(r"\b(?:" + "|".join(_USER_KEYS) + r")\b")
+# The keys declared here, name -> (type, default): `n_tracklets`, which no
+# module config has, and `motion`, whose "mixed" SceneSpec does not take.
+_OWN_KEYS = {"n_tracklets": (int, 100), "motion": (str, "mixed")}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a run needs beyond file paths, seeds included."""
+def _keys() -> dict[str, tuple[Any, Any]]:
+    """Every config key -> (type, default), taken from the module configs'
+    fields; a name several of them declare must agree on both."""
+    keys = dict(_OWN_KEYS)
+    for kind, unexposed in _UNEXPOSED.items():
+        hints = get_type_hints(kind)
+        for f in fields(kind):
+            if f.name in unexposed or f.name in _OWN_KEYS:
+                continue
+            spec = (hints[f.name], f.default)
+            if keys.setdefault(f.name, spec) != spec:
+                raise TypeError(f"{kind.__name__}.{f.name} is {spec}, another module config's is {keys[f.name]}")
+    return keys
 
-    # reproducibility
-    seed: int = 0
-    # synthetic scenes
-    n_tracklets: int = 100
-    n_frames: int = 20
-    n_distractors: int = 0
-    motion: str = "mixed"
-    speed_min: float = 0.0
-    speed_max: float = 2.0
-    category: str = "car"
-    noise_sigma: float = 0.02
-    # network
-    point_widths: tuple[int, ...] = (64, 128, 256)
-    head_hidden: int = 128
-    # training
-    epochs: int = 10
-    batch_size: int = 32
-    lr: float = 1e-3
-    lr_decay: float = 0.1
-    lr_decay_every: int = 20
-    n_points: int = DEFAULT_POINTS
-    margin: float = DEFAULT_MARGIN
-    resample_each_epoch: bool = True
-    lambda_cls_target: float = 0.1
-    lambda_cls_motion: float = 0.1
-    lambda_reg: float = 1.0
-    # augmentation
-    flip_prob: float = 0.5
-    rot_range_deg: float = 10.0
-    trans_range: float = 0.3
-    prev_box_shift: float = 0.3
-    prev_box_yaw_shift_deg: float = 10.0
+
+class _ExperimentConfigBase:
+    """Everything a run needs beyond file paths, seeds included; the fields
+    of `ExperimentConfig` come from `_keys()`, its methods from here."""
 
     def __post_init__(self):
         # only this namespace knows "mixed"; every other value is checked by
@@ -108,14 +87,14 @@ class ExperimentConfig:
             self.model_config()
             self.train_config()
         except ValueError as exc:
-            raise ConfigError(_USER_FIELD.sub(lambda m: _USER_KEYS[m.group(0)], str(exc))) from exc
+            raise ConfigError(str(exc)) from exc
 
     # -- derived module configs ------------------------------------------
 
     def scene_template(self) -> SceneSpec:
         # a concrete stand-in motion; the cycle below handles "mixed"
         motion = "constant_velocity" if self.motion == "mixed" else self.motion
-        return _derive(SceneSpec, self, motion=motion, speed_range=(self.speed_min, self.speed_max))
+        return _derive(SceneSpec, self, motion=motion)
 
     def motion_cycle(self) -> Optional[tuple[str, ...]]:
         """Per-tracklet motion assignment; None keeps the template's motion."""
@@ -125,12 +104,7 @@ class ExperimentConfig:
         return _derive(ModelConfig, self)
 
     def augment_config(self) -> AugmentConfig:
-        return _derive(
-            AugmentConfig,
-            self,
-            rot_range=float(np.deg2rad(self.rot_range_deg)),
-            prev_box_yaw_shift=float(np.deg2rad(self.prev_box_yaw_shift_deg)),
-        )
+        return _derive(AugmentConfig, self)
 
     def train_config(self, start_epoch: int = 0) -> TrainConfig:
         return _derive(TrainConfig, self, augment=self.augment_config(), start_epoch=start_epoch)
@@ -176,10 +150,18 @@ class ExperimentConfig:
         return cls(**_coerced(merged))
 
 
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(name, kind, default) for name, (kind, default) in _keys().items()],
+    bases=(_ExperimentConfigBase,),
+    frozen=True,
+    namespace={"__module__": __name__},
+)
+
 _Module = TypeVar("_Module")
 
 
-def _derive(kind: type[_Module], cfg: ExperimentConfig, **explicit: Any) -> _Module:
+def _derive(kind: type[_Module], cfg: _ExperimentConfigBase, **explicit: Any) -> _Module:
     """A `kind` module config from every field of `cfg` it shares by name,
     with `explicit` supplying (or replacing) the rest."""
     shared = {f.name for f in fields(kind)} & {f.name for f in fields(cfg)}
@@ -188,7 +170,7 @@ def _derive(kind: type[_Module], cfg: ExperimentConfig, **explicit: Any) -> _Mod
 
 def _coerced(raw: Mapping[str, Any]) -> dict[str, Any]:
     """Check keys against the dataclass fields and coerce JSON values to their types."""
-    kinds = get_type_hints(ExperimentConfig)
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")

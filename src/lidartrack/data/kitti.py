@@ -58,9 +58,13 @@ def _read_calib(path: Path) -> np.ndarray:
 
 def lidar_box_from_camera(loc, hwl, ry: float, tr_velo_to_cam: np.ndarray) -> Box3D:
     """Convert a camera-frame label box to a LiDAR-frame Box3D."""
+    return _lidar_box(loc, hwl, ry, tr_velo_to_cam, np.linalg.inv(tr_velo_to_cam))
+
+
+def _lidar_box(loc, hwl, ry: float, tr_velo_to_cam: np.ndarray, inv: np.ndarray) -> Box3D:
+    """`lidar_box_from_camera` with the calibration's inverse computed once per sequence."""
     h, w, l = (float(v) for v in hwl)
     center_cam = np.array([loc[0], loc[1] - h / 2.0, loc[2], 1.0])
-    inv = np.linalg.inv(tr_velo_to_cam)
     center = (inv @ center_cam)[:3]
     rot_cam_from_velo = tr_velo_to_cam[:3, :3]
     heading_cam = np.array([np.cos(ry), 0.0, -np.sin(ry)])
@@ -85,6 +89,7 @@ def load_kitti_tracklets(seq_dir) -> list[Tracklet]:
     seq_dir = Path(seq_dir)
     seq = seq_dir.name
     tr = _read_calib(seq_dir / "calib" / f"{seq}.txt")
+    inv = np.linalg.inv(tr)
     label_path = seq_dir / "label_02" / f"{seq}.txt"
 
     # frame -> (box, category) lists keyed by track id, in file order
@@ -102,7 +107,7 @@ def load_kitti_tracklets(seq_dir) -> list[Tracklet]:
             frame, tid = int(fields[0]), int(fields[1])
             hwl = [float(v) for v in fields[10:13]]
             loc = [float(v) for v in fields[13:16]]
-            box = lidar_box_from_camera(loc, hwl, float(fields[16]), tr)
+            box = _lidar_box(loc, hwl, float(fields[16]), tr, inv)
         except ValueError as exc:
             raise ValueError(f"{label_path}:{lineno}: {exc}") from None
         per_track.setdefault(tid, []).append((frame, box, kind))

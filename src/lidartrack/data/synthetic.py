@@ -55,14 +55,16 @@ class SceneSpec:
     """Full description of one synthetic tracklet; seed makes it exact.
 
     The target's size follows from its category (``CAR_SIZE`` or
-    ``PEDESTRIAN_SIZE``).  Every box face is sampled at 50 points per m^2
-    of visible surface, and a turning target's yaw rate is drawn from
-    ±5 degrees per frame.
+    ``PEDESTRIAN_SIZE``).  A moving box's speed is drawn uniformly from
+    [``speed_min``, ``speed_max``] m per frame.  Every box face is sampled
+    at 50 points per m^2 of visible surface, and a turning target's yaw
+    rate is drawn from ±5 degrees per frame.
     """
 
     category: str = "car"
     motion: str = "constant_velocity"
-    speed_range: tuple[float, float] = (0.0, 2.0)       # m per frame
+    speed_min: float = 0.0          # m per frame
+    speed_max: float = 2.0
     n_frames: int = 20
     n_distractors: int = 0
     clutter_density: float = 0.05   # points per m^2 of ground extent
@@ -80,12 +82,12 @@ class SceneSpec:
             raise ValueError("n_frames must be at least 1")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be non-negative")
-        for name in ("noise_sigma", "clutter_density"):
+        for name in ("noise_sigma", "clutter_density", "speed_min", "speed_max"):
             value = getattr(self, name)
             if not 0 <= value < np.inf:  # also false for NaN
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if not (0 <= self.speed_range[0] <= self.speed_range[1]):
-            raise ValueError("speed_range must satisfy 0 <= lo <= hi")
+        if self.speed_min > self.speed_max:
+            raise ValueError(f"speed_min must not exceed speed_max, got {self.speed_min} > {self.speed_max}")
 
     @property
     def target_size(self) -> tuple[float, float, float]:
@@ -103,7 +105,7 @@ def _box_track(
     boxes = [Box3D(center=center0, size=size, yaw=yaw0)]
     if motion == "static":
         return boxes * spec.n_frames
-    speed = rng.uniform(*spec.speed_range)
+    speed = rng.uniform(spec.speed_min, spec.speed_max)
     yaw_rate = rng.uniform(*_YAW_RATE_RANGE) if motion == "turning" else 0.0
     center, yaw = np.array(center0, dtype=float), yaw0
     for _ in range(spec.n_frames - 1):

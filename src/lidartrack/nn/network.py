@@ -69,6 +69,8 @@ class ModelConfig:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
         if len(self.point_widths) == 0 or any(w < 1 for w in self.point_widths):
             raise ValueError("point_widths must be positive and non-empty")
+        if self.head_hidden < 1:
+            raise ValueError(f"head_hidden must be at least 1, got {self.head_hidden!r}")
         object.__setattr__(self, "point_widths", tuple(int(w) for w in self.point_widths))
 
     @property

@@ -505,15 +505,18 @@ class TrainConfig:
     start_epoch: int = 0  # resumed runs keep the absolute epoch counter
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        for name in ("epochs", "batch_size", "lr_decay_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         check_crop_settings(self.margin, self.n_points)
-        if self.lr <= 0 or self.lr_decay <= 0 or self.lr_decay_every < 1:
-            raise ValueError("learning-rate schedule values must be positive")
+        for name in ("lr", "lr_decay"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("lambda_cls_target", "lambda_cls_motion", "lambda_reg"):
             weight = getattr(self, name)
-            if not weight >= 0:
-                raise ValueError(f"{name} must be >= 0, got {weight!r}")
+            if not 0 <= weight < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {weight!r}")
         if not 0 <= self.start_epoch <= self.epochs:
             raise ValueError("start_epoch must lie in [0, epochs]")
 

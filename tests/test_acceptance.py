@@ -214,7 +214,8 @@ def test_criterion_04_oracle_plumbing_identity():
     start = time.perf_counter()
     template = SceneSpec(
         motion="constant_velocity",
-        speed_range=(0.5, 2.0),
+        speed_min=0.5,
+        speed_max=2.0,
         n_frames=20,
         n_distractors=3,
     )
@@ -435,7 +436,7 @@ def test_criterion_09_loss_bookkeeping():
         assert pterms[key] == 0.0
 
     # overfit sanity: strict decrease over the first 10 steps at lr 1e-3
-    spec = SceneSpec(motion="constant_velocity", speed_range=(3.5, 5.0), n_frames=11, seed=3)
+    spec = SceneSpec(motion="constant_velocity", speed_min=3.5, speed_max=5.0, n_frames=11, seed=3)
     toy_pairs = make_training_pairs([generate_synthetic_tracklet(spec)])
     assert len(toy_pairs) == 10
     cfg = TrainConfig(
@@ -446,8 +447,8 @@ def test_criterion_09_loss_bookkeeping():
         margin=5.0,
         seed=0,
         augment=AugmentConfig(
-            flip_prob=0.0, rot_range=0.0, trans_range=0.0,
-            prev_box_shift=0.0, prev_box_yaw_shift=0.0,
+            flip_prob=0.0, rot_range_deg=0.0, trans_range=0.0,
+            prev_box_shift=0.0, prev_box_yaw_shift_deg=0.0,
         ),
         resample_each_epoch=False,
     )

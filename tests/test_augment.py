@@ -14,14 +14,14 @@ from lidartrack.augment import AugmentConfig, motion_augment, perturb_prev_box
 from lidartrack.geometry import Box3D, canonical_to_world, infer_rtm, points_in_box, wrap_angle
 
 ZERO = AugmentConfig(
-    flip_prob=0.0, rot_range=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift=0.0
+    flip_prob=0.0, rot_range_deg=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift_deg=0.0
 )
 FULL = AugmentConfig(
     flip_prob=0.5,
-    rot_range=np.deg2rad(10),
+    rot_range_deg=10.0,
     trans_range=0.3,
     prev_box_shift=0.3,
-    prev_box_yaw_shift=np.deg2rad(10),
+    prev_box_yaw_shift_deg=10.0,
 )
 
 
@@ -43,7 +43,7 @@ def points_inside(box: Box3D, n: int, rng) -> np.ndarray:
 class TestAugmentConfig:
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
-            AugmentConfig(rot_range=-0.1)
+            AugmentConfig(rot_range_deg=np.rad2deg(-0.1))
 
     def test_bad_flip_prob_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestPerturbPrevBox:
             assert abs(d[0]) <= FULL.prev_box_shift
             assert abs(d[1]) <= FULL.prev_box_shift
             assert d[2] == 0.0
-            assert abs(wrap_angle(out.yaw - b.yaw)) <= FULL.prev_box_yaw_shift
+            assert abs(wrap_angle(out.yaw - b.yaw)) <= np.deg2rad(FULL.prev_box_yaw_shift_deg)
 
     def test_size_never_altered(self):
         rng = np.random.default_rng(2)
@@ -106,7 +106,7 @@ class TestMotionAugment:
 
     def test_flip_is_involution(self):
         flip_only = AugmentConfig(
-            flip_prob=1.0, rot_range=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift=0.0
+            flip_prob=1.0, rot_range_deg=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift_deg=0.0
         )
         rng = np.random.default_rng(5)
         bp, bc = random_box(rng), random_box(rng)
@@ -126,8 +126,8 @@ class TestMotionAugment:
         flips = 0
         for _ in range(10_000):
             _, _, _, _, s = motion_augment(pts, b, pts, b, FULL, rng)
-            assert abs(s.rot_prev) <= FULL.rot_range
-            assert abs(s.rot_cur) <= FULL.rot_range
+            assert abs(s.rot_prev) <= np.deg2rad(FULL.rot_range_deg)
+            assert abs(s.rot_cur) <= np.deg2rad(FULL.rot_range_deg)
             assert np.all(np.abs(s.trans_prev) <= FULL.trans_range)
             assert np.all(np.abs(s.trans_cur) <= FULL.trans_range)
             flips += s.flipped

@@ -5,7 +5,8 @@ callers look them up by, and the workloads call the program through the
 modules they import (``pipeline.track_sequence``, ``lt_data.read_native``),
 passing keywords such as ``track_frame(frame_index=)``.  Checking all of
 these here makes a renamed or deleted function or parameter fail the
-suite, not the next benchmark run.
+suite, not the next benchmark run.  ``ExperimentConfig`` is generated from
+the module configs, so the config keys the workloads use are checked too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
+
+from lidartrack.config import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -120,3 +124,42 @@ def test_every_keyword_the_workloads_pass_is_a_parameter():
         "lidartrack.nn.segment_forward_batched(batch=)",
         "lidartrack.config.ExperimentConfig.from_sources(preset=)",
     } <= passed
+
+
+def is_config(node: ast.AST) -> bool:
+    """Whether a benchmark expression is an ``ExperimentConfig``: every one
+    perfbench holds is named ``cfg`` or made by ``ExperimentConfig.from_sources``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "from_sources"
+    return (isinstance(node, ast.Name) and node.id == "cfg") or (
+        isinstance(node, ast.Attribute) and node.attr == "cfg"
+    )
+
+
+def config_uses(path: Path) -> tuple[set[str], set[str]]:
+    """The attributes a benchmark file reads from an ``ExperimentConfig``, and
+    the keywords it passes to ``replace`` one."""
+    reads, replaced = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and is_config(node.value):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "replace" and node.args and is_config(node.args[0])):
+            replaced |= {kw.arg for kw in node.keywords}
+    return reads, replaced
+
+
+def test_every_config_key_the_workloads_use_exists():
+    keys = {f.name for f in fields(ExperimentConfig)}
+    reads, replaced = set(), set()
+    for path in BENCH_FILES:
+        file_reads, file_replaced = config_uses(path)
+        reads |= file_reads
+        replaced |= file_replaced
+    missing = sorted(name for name in reads - keys if not callable(getattr(ExperimentConfig, name, None)))
+    assert not missing, f"perfbench reads config keys the program no longer has: {missing}"
+    unknown = sorted(replaced - keys)
+    assert not unknown, f"perfbench replaces config keys the program no longer has: {unknown}"
+    # the scan reached the keys the workloads read and replace
+    assert {"margin", "noise_sigma", "scene_template"} <= reads
+    assert {"seed", "epochs"} <= replaced

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -37,6 +38,40 @@ def write_config(path: Path, **keys) -> str:
 
 TINY = dict(n_tracklets=3, n_frames=4, epochs=2, batch_size=8, n_points=48, seed=0)
 FLOAT_KEYS = sorted(key for key, kind in get_type_hints(ExperimentConfig).items() if kind is float)
+NAN, INF = float("nan"), float("inf")
+
+# The published config keys, each with its (type, default).  Exposing a
+# module field no user sets (``clutter_density``, ``dtype``, ``start_epoch``
+# ...) or dropping a key fails the test that compares them.
+SCHEMA = {
+    "seed": (int, 0),
+    "n_tracklets": (int, 100),
+    "n_frames": (int, 20),
+    "n_distractors": (int, 0),
+    "motion": (str, "mixed"),
+    "speed_min": (float, 0.0),
+    "speed_max": (float, 2.0),
+    "category": (str, "car"),
+    "noise_sigma": (float, 0.02),
+    "point_widths": (tuple[int, ...], (64, 128, 256)),
+    "head_hidden": (int, 128),
+    "epochs": (int, 10),
+    "batch_size": (int, 32),
+    "lr": (float, 1e-3),
+    "lr_decay": (float, 0.1),
+    "lr_decay_every": (int, 20),
+    "n_points": (int, 1024),
+    "margin": (float, 2.0),
+    "resample_each_epoch": (bool, True),
+    "lambda_cls_target": (float, 0.1),
+    "lambda_cls_motion": (float, 0.1),
+    "lambda_reg": (float, 1.0),
+    "flip_prob": (float, 0.5),
+    "rot_range_deg": (float, 10.0),
+    "trans_range": (float, 0.3),
+    "prev_box_shift": (float, 0.3),
+    "prev_box_yaw_shift_deg": (float, 10.0),
+}
 
 
 def tree_digest(root: Path, skip=("config.resolved.json",)) -> str:
@@ -115,6 +150,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="object"):
             ExperimentConfig.from_sources(config_file=str(path))
 
+    def test_published_schema(self):
+        assert len(SCHEMA) == 27
+        kinds = get_type_hints(ExperimentConfig)
+        assert {f.name: (kinds[f.name], f.default) for f in fields(ExperimentConfig)} == SCHEMA
+
     def test_defaults_build_the_module_defaults(self):
         # every default is declared once, in the module config that uses it
         cfg = ExperimentConfig()
@@ -166,7 +206,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, message", [
         (b'{"epochz": 3}', r"unknown config keys: \['epochz'\]"),
-        (b'{"epochs": 0}', "epochs and batch_size must be positive"),
+        (b'{"epochs": 0}', "epochs must be at least 1, got 0$"),
         (b'{"seed": 1}\xff', r"not valid JSON \('utf-8' codec can't decode byte 0xff"),
     ])
     def test_file_errors_name_the_file(self, tmp_path, text, message):
@@ -174,6 +214,28 @@ class TestConfig:
         path.write_bytes(text)
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {message}"):
             ExperimentConfig.from_sources(preset="desk", config_file=str(path), overrides={"seed": 2})
+
+    # built directly, each module config names the one field at fault
+    @pytest.mark.parametrize("kind, field, value", [
+        (TrainConfig, "lr", NAN),
+        (TrainConfig, "lr", INF),
+        (TrainConfig, "lr_decay", NAN),
+        (TrainConfig, "lambda_reg", INF),
+        (TrainConfig, "epochs", 0),
+        (TrainConfig, "batch_size", 0),
+        (TrainConfig, "lr_decay_every", 0),
+        (AugmentConfig, "trans_range", NAN),
+        (AugmentConfig, "rot_range_deg", INF),
+        (AugmentConfig, "rot_range_deg", -1.0),
+        (AugmentConfig, "prev_box_shift", NAN),
+        (AugmentConfig, "prev_box_yaw_shift_deg", NAN),
+        (SceneSpec, "speed_min", 3.0),
+        (SceneSpec, "speed_max", INF),
+        (ModelConfig, "head_hidden", 0),
+    ])
+    def test_module_config_names_the_bad_field(self, kind, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            kind(**{field: value})
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig.from_sources(preset="desk")
@@ -254,6 +316,14 @@ class TestGenerate:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == f"{path}: lr must be finite, got an integer too large for a float"
+
+    @pytest.mark.parametrize("head_hidden", [0, -1])
+    def test_bad_head_hidden_is_exit_2(self, tmp_path, capsys, head_hidden):
+        path = write_config(tmp_path / "c.json", **TINY, head_hidden=head_hidden)
+        rc = main(["train", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out"), "--config", path])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{path}: head_hidden must be at least 1, got {head_hidden}"
 
     def test_no_tracklets_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_tracklets=0)

@@ -79,7 +79,8 @@ class TestSyntheticGenerator:
     def test_unit_displacement_rtm(self):
         spec = SceneSpec(
             motion="constant_velocity",
-            speed_range=(1.0, 1.0),
+            speed_min=1.0,
+            speed_max=1.0,
             initial_yaw=0.0,
             n_frames=8,
             seed=2,

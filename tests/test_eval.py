@@ -97,7 +97,7 @@ class TestZeroMotion:
 
     def test_constant_velocity_error_grows_linearly(self):
         spec = SceneSpec(
-            motion="constant_velocity", speed_range=(1.0, 1.0), n_frames=6, seed=1
+            motion="constant_velocity", speed_min=1.0, speed_max=1.0, n_frames=6, seed=1
         )
         t = generate_synthetic_tracklet(spec)
         report = run_ope(ZeroMotionTracker(), [t])
@@ -147,7 +147,7 @@ class TestKalmanCV:
 
     def test_deterministic(self):
         t = generate_synthetic_tracklet(
-            SceneSpec(motion="constant_velocity", speed_range=(0.5, 1.5), n_frames=8, seed=3)
+            SceneSpec(motion="constant_velocity", speed_min=0.5, speed_max=1.5, n_frames=8, seed=3)
         )
         a = KalmanCVTracker().track(t.frames, t.gt_boxes[0])
         b = KalmanCVTracker().track(t.frames, t.gt_boxes[0])
@@ -291,7 +291,7 @@ class TestDistractorProtocol:
 class TestScorePredictions:
     def test_round_trip_from_export(self, tmp_path):
         t = generate_synthetic_tracklet(
-            SceneSpec(motion="constant_velocity", speed_range=(0.5, 1.5), n_frames=5, seed=20)
+            SceneSpec(motion="constant_velocity", speed_min=0.5, speed_max=1.5, n_frames=5, seed=20)
         )
         res = track_sequence(t, model=Model(ModelConfig()), overrides=make_oracle_overrides(t))
         path = tmp_path / "preds.jsonl"
@@ -437,7 +437,7 @@ class TestTrackerProtocol:
     @pytest.mark.parametrize("tracker", protocol_trackers(), ids=lambda t: t.name)
     def test_result_has_a_box_per_frame_and_diagnostics_per_tracked_frame(self, tracker):
         t = generate_synthetic_tracklet(
-            SceneSpec(motion="constant_velocity", speed_range=(0.5, 1.5), n_frames=5, seed=30)
+            SceneSpec(motion="constant_velocity", speed_min=0.5, speed_max=1.5, n_frames=5, seed=30)
         )
         result = tracker.track(list(t.frames), t.gt_boxes[0])
         assert isinstance(result, TrackResult)

@@ -74,7 +74,7 @@ from lidartrack.pointcloud import (
 )
 
 NO_AUG = AugmentConfig(
-    flip_prob=0.0, rot_range=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift=0.0
+    flip_prob=0.0, rot_range_deg=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift_deg=0.0
 )
 
 
@@ -91,7 +91,8 @@ def zero_final(mlp) -> None:
 def moving_tracklet(n_frames=6, seed=0, k=0):
     spec = SceneSpec(
         motion="constant_velocity",
-        speed_range=(0.5, 2.0),
+        speed_min=0.5,
+        speed_max=2.0,
         n_frames=n_frames,
         n_distractors=k,
         seed=seed,
@@ -447,7 +448,7 @@ class TestTrackSequence:
 
     def test_full_oracle_tracks_gt(self):
         for seed, motion in ((11, "constant_velocity"), (12, "turning"), (13, "static")):
-            spec = SceneSpec(motion=motion, speed_range=(0.5, 2.0), n_frames=8, n_distractors=2, seed=seed)
+            spec = SceneSpec(motion=motion, speed_min=0.5, speed_max=2.0, n_frames=8, n_distractors=2, seed=seed)
             t = generate_synthetic_tracklet(spec)
             res = track_sequence(t, model=model32(), overrides=make_oracle_overrides(t))
             for pred, gt in zip(res.boxes, t.gt_boxes):
@@ -457,7 +458,7 @@ class TestTrackSequence:
         # every step is below the dynamic threshold, so the motion label is
         # static while the target still moves
         for seed, motion in ((23, "constant_velocity"), (24, "turning")):
-            spec = SceneSpec(motion=motion, speed_range=(0.02, 0.12), n_frames=8, n_distractors=2, seed=seed)
+            spec = SceneSpec(motion=motion, speed_min=0.02, speed_max=0.12, n_frames=8, n_distractors=2, seed=seed)
             t = generate_synthetic_tracklet(spec)
             res = track_sequence(t, model=model32(), overrides=make_oracle_overrides(t))
             for pred, gt in zip(res.boxes, t.gt_boxes):
@@ -630,7 +631,7 @@ class TestTraining:
     def toy_pairs(self, n_frames=11, seed=3):
         # brisk motion keeps the Huber terms in their linear region for the
         # whole overfit window, so the descent has room to stay strict
-        spec = SceneSpec(motion="constant_velocity", speed_range=(3.5, 5.0), n_frames=n_frames, seed=seed)
+        spec = SceneSpec(motion="constant_velocity", speed_min=3.5, speed_max=5.0, n_frames=n_frames, seed=seed)
         return make_training_pairs([generate_synthetic_tracklet(spec)])
 
     def toy_config(self, **kw):
