@@ -173,10 +173,12 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     start_epoch = 0
     if args.resume:
         model, extra = load_checkpoint(args.resume)
-        start_epoch = int(extra.get("epochs_completed", 0))
+        start_epoch = extra.get("epochs_completed", 0)
+        if type(start_epoch) is not int or start_epoch < 0:  # refuse a JSON float, string, bool or null
+            raise ValueError(f"{args.resume}: epochs_completed must be a non-negative integer, got {start_epoch!r}")
         if start_epoch >= cfg.epochs:
             raise ValueError(
-                f"checkpoint has already completed {start_epoch} epochs; "
+                f"{args.resume}: checkpoint has already completed {start_epoch} epochs; "
                 f"config targets {cfg.epochs}"
             )
         stored, want = model.config, cfg.model_config()

@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 
 # Each module config a run is built from, with its fields that no user sets.
 _UNEXPOSED = {
-    SceneSpec: ("clutter_density", "initial_center", "initial_yaw"),
+    SceneSpec: (),
     ModelConfig: ("dtype",),
     TrainConfig: ("augment", "start_epoch"),
     AugmentConfig: (),

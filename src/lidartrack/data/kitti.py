@@ -139,7 +139,6 @@ def load_kitti_tracklets(seq_dir) -> list[Tracklet]:
                     frames=frames,
                     gt_boxes=boxes,
                     category=run[0][2].lower(),
-                    source="kitti",
                 )
             )
     return tracklets

@@ -3,12 +3,13 @@
 Layout under a root directory:
 
     manifest.json                      format version + the ordered list of tracklet directories
-    <tracklet-dir>/meta.json           id, category, source, timestamps, boxes
+    <tracklet-dir>/meta.json           id, category, timestamps, boxes
     <tracklet-dir>/points_000.bin      packed little-endian float32, xyz per point
 
 A tracklet is read if and only if the manifest lists its directory, in
 the listed order; a root without a manifest is an empty dataset.  Older
-manifest entries also carry an ``id`` and a ``split`` tag, which are ignored.
+manifest entries also carry an ``id`` and a ``split`` tag, and older metas a
+``source`` tag; all three are ignored.
 
 Boxes live in JSON (lossless for float64 via repr-style serialization);
 point coordinates are quantized to float32 by the binary files, so a first
@@ -33,7 +34,7 @@ import numpy as np
 
 from lidartrack.data.tracklets import Tracklet
 from lidartrack.geometry import Box3D
-from lidartrack.pointcloud import Frame
+from lidartrack.pointcloud import Frame, _unchecked
 
 __all__ = ["write_native", "read_native"]
 
@@ -89,7 +90,6 @@ def write_native(tracklets: Sequence[Tracklet], root) -> None:
             "format_version": _FORMAT_VERSION,
             "id": t.id,
             "category": t.category,
-            "source": t.source,
             "timestamps": [f.timestamp for f in t.frames],
             "boxes": _box_list(t.gt_boxes),
         }
@@ -128,11 +128,16 @@ def read_point_file(path: Path, timestamp: int, columns: int) -> Frame:
             f"{path}: corrupt point file, row {len(raw) // row_bytes} is partial: "
             f"{len(raw)} bytes is not a whole number of {columns}-column float32 rows"
         )
-    points = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(-1, columns)[:, :3]
-    try:
-        return Frame(points=points, timestamp=timestamp)
-    except ValueError as exc:  # non-finite points: name the file as well as the row
-        raise ValueError(f"{path}: {exc}") from None
+    rows = np.frombuffer(raw, dtype="<f4").reshape(-1, columns)[:, :3]
+    # the frame's one finiteness check, on the float32 rows: a signalling NaN
+    # passes np.isfinite quietly, where the cast to float64 would warn
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"{path}: frame points must be finite; row {row} is {rows[row]}")
+    points = rows.astype(np.float64, order="C")
+    points.flags.writeable = False
+    return _unchecked(Frame, points=points, timestamp=int(timestamp))
 
 
 def _read_tracklet(tdir: Path) -> Tracklet:
@@ -145,8 +150,7 @@ def _read_tracklet(tdir: Path) -> Tracklet:
         boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
     frames = tuple(read_point_file(tdir / f"points_{i:03d}.bin", ts, 3) for i, ts in enumerate(timestamps))
     with _naming(meta_path):  # a box count that does not match the frames
-        return Tracklet(id=meta["id"], frames=frames, gt_boxes=boxes,
-                        category=meta["category"], source=meta["source"])
+        return Tracklet(id=meta["id"], frames=frames, gt_boxes=boxes, category=meta["category"])
 
 
 def read_native(root) -> list[Tracklet]:

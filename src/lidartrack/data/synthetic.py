@@ -1,7 +1,7 @@
 """Synthetic LiDAR scene generator.
 
 Scenes put the sensor at the origin.  The target box starts on a ring 6 to
-14 m out (unless ``SceneSpec`` pins a center), seated on the ground plane, and
+14 m out at a drawn heading, seated on the ground plane, and
 follows one of three motion models: static (exactly zero motion), constant
 velocity (one sampled speed, driving along the initial heading), or
 turning (constant speed plus a constant yaw rate, with the displacement
@@ -21,7 +21,6 @@ bit-identical tracklets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -47,6 +46,7 @@ _TARGET_RING = (6.0, 14.0)
 _DISTRACTOR_RING = (3.0, 10.0)
 _TARGET_SIZES = {"car": CAR_SIZE, "pedestrian": PEDESTRIAN_SIZE}
 _POINT_DENSITY = 50.0               # points per m^2 of visible surface
+_CLUTTER_DENSITY = 0.05             # points per m^2 of ground extent
 _YAW_RATE_RANGE = (-np.deg2rad(5.0), np.deg2rad(5.0))   # turning, rad per frame
 
 
@@ -57,8 +57,9 @@ class SceneSpec:
     The target's size follows from its category (``CAR_SIZE`` or
     ``PEDESTRIAN_SIZE``).  A moving box's speed is drawn uniformly from
     [``speed_min``, ``speed_max``] m per frame.  Every box face is sampled
-    at 50 points per m^2 of visible surface, and a turning target's yaw
-    rate is drawn from ±5 degrees per frame.
+    at 50 points per m^2 of visible surface, ground clutter at 0.05 per m^2,
+    and a turning target's yaw rate is drawn from ±5 degrees per frame.  The
+    target's initial center and heading are drawn from ``seed``.
     """
 
     category: str = "car"
@@ -67,11 +68,8 @@ class SceneSpec:
     speed_max: float = 2.0
     n_frames: int = 20
     n_distractors: int = 0
-    clutter_density: float = 0.05   # points per m^2 of ground extent
     noise_sigma: float = 0.02
     seed: int = 0
-    initial_center: Optional[tuple[float, float, float]] = None
-    initial_yaw: Optional[float] = None
 
     def __post_init__(self):
         if self.category not in _TARGET_SIZES:
@@ -82,7 +80,7 @@ class SceneSpec:
             raise ValueError("n_frames must be at least 1")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be non-negative")
-        for name in ("noise_sigma", "clutter_density", "speed_min", "speed_max"):
+        for name in ("noise_sigma", "speed_min", "speed_max"):
             value = getattr(self, name)
             if not 0 <= value < np.inf:  # also false for NaN
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
@@ -166,16 +164,11 @@ def _place_distractor(rng: np.random.Generator, target0: Box3D, placed: list[Box
 def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None) -> Tracklet:
     rng = np.random.default_rng(spec.seed)
 
-    if spec.initial_center is not None:
-        center0 = np.asarray(spec.initial_center, dtype=float)
-    else:
-        radius = rng.uniform(*_TARGET_RING)
-        angle = rng.uniform(-np.pi, np.pi)
-        center0 = np.array(
-            [radius * np.cos(angle), radius * np.sin(angle), spec.target_size[2] / 2.0]
-        )
-    yaw0 = spec.initial_yaw if spec.initial_yaw is not None else rng.uniform(-np.pi, np.pi)
-    target_boxes = _box_track(spec, rng, spec.target_size, center0, float(yaw0), spec.motion)
+    radius = rng.uniform(*_TARGET_RING)
+    angle = rng.uniform(-np.pi, np.pi)
+    center0 = np.array([radius * np.cos(angle), radius * np.sin(angle), spec.target_size[2] / 2.0])
+    yaw0 = rng.uniform(-np.pi, np.pi)
+    target_boxes = _box_track(spec, rng, spec.target_size, center0, yaw0, spec.motion)
 
     distractor_tracks: list[list[Box3D]] = []
     placed: list[Box3D] = []
@@ -187,7 +180,7 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
         placed.append(track[0])
 
     clutter_area = (2.0 * _SCENE_HALF_EXTENT) ** 2
-    n_clutter = int(round(spec.clutter_density * clutter_area))
+    n_clutter = int(round(_CLUTTER_DENSITY * clutter_area))
 
     frames: list[Frame] = []
     masks: list[np.ndarray] = []
@@ -195,11 +188,10 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
         target_pts = _surface_points(target_boxes[t], rng, spec.noise_sigma)
         parts = [target_pts]
         parts += [_surface_points(track[t], rng, spec.noise_sigma) for track in distractor_tracks]
-        if n_clutter:
-            clutter = np.empty((n_clutter, 3))
-            clutter[:, :2] = rng.uniform(-_SCENE_HALF_EXTENT, _SCENE_HALF_EXTENT, size=(n_clutter, 2))
-            clutter[:, 2] = rng.uniform(0.0, _CLUTTER_HEIGHT, size=n_clutter)
-            parts.append(clutter)
+        clutter = np.empty((n_clutter, 3))
+        clutter[:, :2] = rng.uniform(-_SCENE_HALF_EXTENT, _SCENE_HALF_EXTENT, size=(n_clutter, 2))
+        clutter[:, 2] = rng.uniform(0.0, _CLUTTER_HEIGHT, size=n_clutter)
+        parts.append(clutter)
         points = np.vstack(parts)
         mask = np.zeros(len(points), dtype=bool)
         mask[: len(target_pts)] = True
@@ -211,7 +203,6 @@ def generate_synthetic_tracklet(spec: SceneSpec, tracklet_id: str | None = None)
         frames=tuple(frames),
         gt_boxes=tuple(target_boxes),
         category=spec.category,
-        source="synthetic",
         oracle=TrackletOracle(target_masks=masks, distractor_boxes=distractor_tracks),
     )
 

@@ -51,7 +51,6 @@ class Tracklet:
     frames: tuple[Frame, ...]
     gt_boxes: tuple[Box3D, ...]
     category: str = "car"
-    source: str = "synthetic"
     oracle: Optional[TrackletOracle] = None
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class Tracklet:
         stamps = [f.timestamp for f in self.frames]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("frame timestamps must be strictly increasing")
-        if self.source not in ("synthetic", "kitti"):
-            raise ValueError(f"unknown source {self.source!r}")
         if self.oracle is not None:
             if len(self.oracle.target_masks) != len(self.frames):
                 raise ValueError("oracle masks must cover every frame")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
@@ -77,13 +77,10 @@ class FrameDiagnostics:
 
     ``wall_ms`` is the frame's wall time as the tracker measured it.  The
     other fields describe the network's stages; trackers without them keep
-    the defaults.  ``n_prev_target`` and ``n_cur_target`` count the target
-    points stage one took from each frame's crop, each crop point once.
+    the defaults.
     """
 
     wall_ms: float
-    n_prev_target: int = 0
-    n_cur_target: int = 0
     dynamic: bool = False
     fallback_mask: bool = False
     degenerate: bool = False
@@ -280,15 +277,26 @@ def _build_report(
     )
 
 
+def _by_id(tracklets: Sequence[Tracklet]) -> dict[str, Tracklet]:
+    """The tracklets keyed by id; traces are keyed by id, so a repeated id
+    raises ``ValueError`` naming it."""
+    by_id = {t.id: t for t in tracklets}
+    if len(by_id) != len(tracklets):
+        repeated = sorted(tid for tid, n in Counter(t.id for t in tracklets).items() if n > 1)
+        raise ValueError(f"tracklet ids must be unique; repeated: {repeated}")
+    return by_id
+
+
 def run_ope(tracker: Tracker, tracklets: Iterable[Tracklet]) -> OpeReport:
     """One-pass evaluation: initialize at the frame-0 box, track, score.
 
     The tracker never sees ground truth past the initialization box. Every
-    frame is scored, frame 0 included.
+    frame is scored, frame 0 included.  Tracklet ids must be unique.
     """
     tracklets = list(tracklets)
     if not tracklets:
         raise ValueError("need at least one tracklet")
+    _by_id(tracklets)
     name = getattr(tracker, "name", type(tracker).__name__)
     traces: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
     failures: dict[str, str] = {}
@@ -340,12 +348,12 @@ class KalmanCVTracker:
     baseline. If the gate catches no points in either frame the update is
     skipped and the filter coasts on its prediction. Size and yaw are
     carried unchanged from the initialization box. The update uses the
-    Joseph form, which keeps the covariance symmetric positive definite.
+    Joseph form, which keeps the covariance symmetric positive definite;
+    the filter state, covariance included, lives for one ``track`` call.
     The noise variances and the gate margin are the ``KALMAN_*`` constants.
     """
 
     name = "kalman-cv"
-    covariance: np.ndarray | None = None  # the last track's final state covariance
 
     def track(self, frames: Sequence[Frame], initial_box: Box3D) -> TrackResult:
         eye3 = np.eye(3)
@@ -382,7 +390,6 @@ class KalmanCVTracker:
                 P = ikh @ P @ ikh.T + K @ R @ K.T
             boxes.append(Box3D(center=x[:3], size=size, yaw=yaw))
             diags.append(FrameDiagnostics.since(start))
-        self.covariance = P
         return TrackResult(boxes=tuple(boxes), diagnostics=tuple(diags))
 
 
@@ -422,14 +429,15 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
 
     The file is JSON lines as written by :func:`export_predictions`; every
     listed tracklet id must exist in ``tracklets`` and cover exactly its
-    frame count. Wall times of the tracked frames are taken from the file.
+    frame count, and the ids in ``tracklets`` must be unique. Wall times
+    of the tracked frames are taken from the file.
     A line that is not JSON, lacks a key, or holds a non-integer ``frame_index``,
     an invalid box or a non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``;
     bytes that are not UTF-8, and ids or frame indices that do not match the
     tracklets, raise ``ValueError('<path>: ...')``.
     """
     tracklets = list(tracklets)
-    by_id = {t.id: t for t in tracklets}
+    by_id = _by_id(tracklets)
     # per tracklet id: (frame index, box, wall ms) in file order
     rows_by_id: dict[str, list[tuple[int, Box3D, float]]] = defaultdict(list)
     # text mode reads every line ending as "\n", as iterating the file would

@@ -346,22 +346,17 @@ def add_const(x: Tensor, c) -> Tensor:
 
 
 def matmul_const(x: Tensor, m: np.ndarray) -> Tensor:
-    """Row vectors through constant matrices: ``x @ m.T`` (m maps in -> out).
-
-    ``m`` is one (out, in) matrix for every row, or a (rows, out, in) stack
-    holding one matrix per row.
-    """
+    """Each row vector through its own constant matrix: row i of the result
+    is ``m[i] @ x[i]``, for a (rows, out, in) stack ``m``."""
     _as2d(x, "matmul_const")
     m = np.asarray(m, dtype=x.data.dtype)
     rows, cols = x.data.shape
-    if m.ndim == 2 and m.shape[1] == cols:
-        return Tensor(x.data @ m.T, parents=(x,), backward_fn=lambda g: (g @ m,), op="matmul_const")
-    if m.ndim == 3 and m.shape[0] == rows and m.shape[2] == cols:
-        out = np.matmul(x.data[:, None, :], m.transpose(0, 2, 1))[:, 0, :]
-        return Tensor(
-            out,
-            parents=(x,),
-            backward_fn=lambda g: (np.matmul(g[:, None, :], m)[:, 0, :],),
-            op="matmul_const",
-        )
-    raise ValueError(f"matmul_const shape mismatch: x {x.data.shape} vs m {m.shape}")
+    if m.ndim != 3 or m.shape[0] != rows or m.shape[2] != cols:
+        raise ValueError(f"matmul_const shape mismatch: x {x.data.shape} vs m {m.shape}")
+    out = np.matmul(x.data[:, None, :], m.transpose(0, 2, 1))[:, 0, :]
+    return Tensor(
+        out,
+        parents=(x,),
+        backward_fn=lambda g: (np.matmul(g[:, None, :], m)[:, 0, :],),
+        op="matmul_const",
+    )

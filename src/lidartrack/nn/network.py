@@ -260,6 +260,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         cfg = dict(header["config"])
         cfg["point_widths"] = tuple(cfg["point_widths"])
         model = Model(ModelConfig(**cfg))
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise ValueError(f"extra is a JSON {type(extra).__name__}, not an object")
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks key {exc}") from exc
     except (TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
@@ -275,4 +278,4 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         flat = np.frombuffer(body, dtype="<f4", count=n, offset=offset)
         p.data = flat.astype(model.config.dtype).reshape(p.data.shape).copy()
         offset += n * 4
-    return model, header.get("extra", {})
+    return model, extra

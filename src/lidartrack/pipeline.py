@@ -389,8 +389,6 @@ def track_frame(
 
         diag = FrameDiagnostics.since(
             t0,
-            n_prev_target=prev_xyz.shape[0],
-            n_cur_target=cur_xyz.shape[0],
             dynamic=s1.dynamic,
             fallback_mask=fallback,
             refined_prev_box=s1.refined_prev_box,
@@ -692,11 +690,12 @@ def total_loss(
     seg_logits: Tensor,
     seg_labels: np.ndarray,
     pairs: Sequence[PairForward],
-    lambda_cls_target: float = 0.1,
-    lambda_cls_motion: float = 0.1,
-    lambda_reg: float = 1.0,
+    lambda_cls_target: float = TrainConfig.lambda_cls_target,
+    lambda_cls_motion: float = TrainConfig.lambda_cls_motion,
+    lambda_reg: float = TrainConfig.lambda_reg,
 ) -> tuple[Tensor, dict]:
-    """Weighted sum of the classification and regression terms.
+    """Weighted sum of the classification and regression terms, by default
+    with ``TrainConfig``'s weights.
 
     Each pair term is the mean over all rows of all records, so B one-row
     records give the same loss as one B-row record.  Returns the scalar

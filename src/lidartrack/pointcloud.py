@@ -75,7 +75,8 @@ class Frame:
     """A single LiDAR sweep: (N, 3) world-frame points plus a frame index.
 
     Its points are finite: construction checks every row, once.  Rows cut
-    from a frame (:func:`_cut`) are not checked again.
+    from a frame (:func:`_cut`) are not checked again, nor are the rows the
+    point-file reader has checked in float32.
     """
 
     points: np.ndarray

@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -41,7 +42,7 @@ FLOAT_KEYS = sorted(key for key, kind in get_type_hints(ExperimentConfig).items(
 NAN, INF = float("nan"), float("inf")
 
 # The published config keys, each with its (type, default).  Exposing a
-# module field no user sets (``clutter_density``, ``dtype``, ``start_epoch``
+# module field no user sets (``dtype``, ``start_epoch``, ``augment``
 # ...) or dropping a key fails the test that compares them.
 SCHEMA = {
     "seed": (int, 0),
@@ -355,6 +356,20 @@ def trained(tmp_path_factory, tiny_dataset) -> Path:
     return out
 
 
+def with_extra(src: Path, dst: Path, extra) -> Path:
+    """A copy of checkpoint ``src`` at ``dst`` whose header holds ``extra``."""
+    blob = src.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + n])
+    header["extra"] = extra
+    raw = json.dumps(header).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+    return dst
+
+
+BAD_EPOCHS = "epochs_completed must be a non-negative integer, got"
+
+
 class TestTrain:
     def test_artifacts(self, trained):
         model, extra = load_checkpoint(trained / "checkpoint.lidartrack")
@@ -390,13 +405,41 @@ class TestTrain:
         assert train_into(4, "--resume", str(out / "checkpoint.lidartrack")) == [0, 1, 2, 3]
         assert train_into(2) == [0, 1]  # a fresh run replaces the log
 
-    def test_resume_past_target_fails(self, tmp_path, tiny_dataset, trained):
+    def test_resume_past_target_fails(self, tmp_path, tiny_dataset, trained, capsys):
         cfg = write_config(tmp_path / "c.json", **TINY)  # epochs=2, already done
+        ckpt = trained / "checkpoint.lidartrack"
         rc = main([
             "train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "o"),
-            "--config", cfg, "--resume", str(trained / "checkpoint.lidartrack"),
+            "--config", cfg, "--resume", str(ckpt),
         ])
         assert rc == 1
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"{ckpt}: checkpoint has already completed 2 epochs; config targets 2"
+        )
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([], "bad header: extra is a JSON list, not an object"),
+            ({"epochs_completed": "x"}, f"{BAD_EPOCHS} 'x'"),
+            ({"epochs_completed": None}, f"{BAD_EPOCHS} None"),
+            ({"epochs_completed": 1.5}, f"{BAD_EPOCHS} 1.5"),
+            ({"epochs_completed": -1}, f"{BAD_EPOCHS} -1"),
+            ({"epochs_completed": True}, f"{BAD_EPOCHS} True"),
+        ],
+        ids=["extra-list", "string", "null", "fraction", "negative", "bool"],
+    )
+    def test_resume_from_malformed_checkpoint_names_it(self, tmp_path, tiny_dataset, trained, capsys,
+                                                       extra, message):
+        ckpt = with_extra(trained / "checkpoint.lidartrack", tmp_path / "bad.lidartrack", extra)
+        cfg = write_config(tmp_path / "c.json", **{**TINY, "epochs": 4})
+        rc = main([
+            "train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "o"),
+            "--config", cfg, "--resume", str(ckpt),
+        ])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": f"{ckpt}: {message}"}
+        assert not (tmp_path / "o").exists()
 
     def test_resume_other_architecture_fails(self, tmp_path, tiny_dataset, trained, capsys):
         cfg = write_config(tmp_path / "c.json", **{**TINY, "epochs": 4, "head_hidden": 64})

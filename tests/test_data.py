@@ -28,6 +28,8 @@ from lidartrack.data import (
     read_native,
     write_native,
 )
+from lidartrack.data.native import read_point_file
+from lidartrack.data.synthetic import _surface_points
 from lidartrack.geometry import Box3D, RTM, apply_rtm, infer_rtm, iou3d, points_in_box, wrap_angle
 
 
@@ -54,7 +56,7 @@ class TestSceneSpecValidation:
             SceneSpec(noise_sigma=-0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("field", ["noise_sigma", "clutter_density"])
+    @pytest.mark.parametrize("field", ["noise_sigma", "speed_max"])
     def test_non_finite_float_rejected_naming_field(self, field, value):
         # NaN fails `noise_sigma > 0` and once generated noise-free scenes
         with pytest.raises(ValueError, match=rf"^{field} must be finite and non-negative, got "):
@@ -77,17 +79,13 @@ class TestSyntheticGenerator:
         assert not any(is_dynamic(m) for m in box_motions(t))
 
     def test_unit_displacement_rtm(self):
-        spec = SceneSpec(
-            motion="constant_velocity",
-            speed_min=1.0,
-            speed_max=1.0,
-            initial_yaw=0.0,
-            n_frames=8,
-            seed=2,
-        )
+        # a constant-velocity target moves 1 m per frame along its drawn heading
+        spec = SceneSpec(motion="constant_velocity", speed_min=1.0, speed_max=1.0, n_frames=8, seed=2)
         t = generate_synthetic_tracklet(spec)
-        for m in box_motions(t):
-            np.testing.assert_allclose(m.as_vector(), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        yaw = t.gt_boxes[0].yaw
+        for box, m in zip(t.gt_boxes, box_motions(t)):
+            assert box.yaw == yaw
+            np.testing.assert_allclose(m.as_vector(), [np.cos(yaw), np.sin(yaw), 0.0, 0.0], atol=1e-12)
         assert all(is_dynamic(m) for m in box_motions(t))
 
     def test_turning_constant_yaw_rate(self):
@@ -109,34 +107,28 @@ class TestSyntheticGenerator:
             np.testing.assert_array_equal(ma, mb)
 
     def test_target_only_scene_points_near_box(self):
-        spec = SceneSpec(n_distractors=0, clutter_density=0.0, noise_sigma=0.02, seed=5)
+        # without distractors a frame is the target's surface plus the ground
+        # clutter: 0.05 points per m^2 over the 40 m square, 80 points
+        spec = SceneSpec(n_distractors=0, noise_sigma=0.02, seed=5)
         t = generate_synthetic_tracklet(spec)
         total = inside3 = 0
         for frame, box, mask in zip(t.frames, t.gt_boxes, t.oracle.target_masks):
-            assert mask.all()
-            assert points_in_box(frame.points, expanded(box, 6 * 0.02)).all()
-            inside3 += points_in_box(frame.points, expanded(box, 3 * 0.02)).sum()
-            total += len(frame.points)
+            assert (~mask).sum() == 80
+            target = frame.points[mask]
+            assert points_in_box(target, expanded(box, 6 * 0.02)).all()
+            inside3 += points_in_box(target, expanded(box, 3 * 0.02)).sum()
+            total += len(target)
         assert inside3 / total >= 0.997
 
     def test_visibility_culling_single_face(self):
-        # static box straight ahead with yaw 0: only the rear face (x = 10 - l/2)
+        # a car straight ahead with yaw 0: only the rear face (x = 10 - l/2)
         # faces the sensor, so all noise-free points lie on that plane
-        spec = SceneSpec(
-            motion="static",
-            initial_center=(10.0, 0.0, 0.8),
-            initial_yaw=0.0,
-            n_frames=2,
-            noise_sigma=0.0,
-            clutter_density=0.0,
-            seed=6,
-        )
-        t = generate_synthetic_tracklet(spec)
-        for frame in t.frames:
-            assert len(frame) > 0
-            np.testing.assert_allclose(frame.points[:, 0], 8.0, atol=1e-12)
-            assert np.all(np.abs(frame.points[:, 1]) <= 0.9 + 1e-12)
-            assert np.all((frame.points[:, 2] >= -1e-12) & (frame.points[:, 2] <= 1.6 + 1e-12))
+        box = Box3D(center=(10.0, 0.0, 0.8), size=CAR_SIZE, yaw=0.0)
+        points = _surface_points(box, np.random.default_rng(6), noise_sigma=0.0)
+        assert len(points) == round(1.8 * 1.6 * 50)  # the face's area at 50 points per m^2
+        np.testing.assert_allclose(points[:, 0], 8.0, atol=1e-12)
+        assert np.all(np.abs(points[:, 1]) <= 0.9 + 1e-12)
+        assert np.all((points[:, 2] >= -1e-12) & (points[:, 2] <= 1.6 + 1e-12))
 
     def test_distractors_present_and_initially_disjoint(self):
         spec = SceneSpec(n_distractors=3, seed=7)
@@ -228,7 +220,7 @@ class TestNativeFormat:
         twice = read_native(tmp_path / "again")
         assert [t.id for t in once] == [t.id for t in ds]
         for a, b in zip(once, twice):
-            assert a.id == b.id and a.category == b.category and a.source == b.source
+            assert a.id == b.id and a.category == b.category
             for fa, fb in zip(a.frames, b.frames):
                 np.testing.assert_array_equal(fa.points, fb.points)
                 assert fa.timestamp == fb.timestamp
@@ -243,14 +235,14 @@ class TestNativeFormat:
         for meta_path in sorted(tmp_path.rglob("meta.json")):
             meta = json.loads(meta_path.read_text())
             assert meta["format_version"] == 2
-            assert set(meta) == {"format_version", "id", "category", "source", "timestamps", "boxes"}
+            assert set(meta) == {"format_version", "id", "category", "timestamps", "boxes"}
 
     def check_oracle_block_ignored(self, tmp_path, version: int) -> None:
         """Add what earlier writers stored to a fresh write: an ``id`` and a
-        ``split`` tag per manifest entry, and an ``oracle`` block per
-        tracklet (distractor tracks; in version 1 also target masks and the
-        box motion).  It reads back as the fresh write does, bit for bit, in
-        the same order, without an oracle."""
+        ``split`` tag per manifest entry, and a ``source`` tag and an
+        ``oracle`` block per tracklet (distractor tracks; in version 1 also
+        target masks and the box motion).  It reads back as the fresh write
+        does, bit for bit, in the same order, without an oracle."""
         ds = self.make_dataset()
         assert all(len(t.oracle.distractor_boxes) == 1 for t in ds)
         write_native(ds, tmp_path / "plain")
@@ -269,7 +261,7 @@ class TestNativeFormat:
                     rtms=[[float(v) for v in m.as_vector()] for m in motions],
                     dynamic_flags=[is_dynamic(m) for m in motions],
                 )
-            meta.update(format_version=version, oracle=oracle)
+            meta.update(format_version=version, source="synthetic", oracle=oracle)
             meta_path.write_text(json.dumps(meta) + "\n")
         manifest_path = tmp_path / "old" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -439,7 +431,7 @@ class TestKittiIngestion:
         tracklets = load_kitti_tracklets(seq_dir)
         assert len(tracklets) == 1
         t = tracklets[0]
-        assert t.source == "kitti" and len(t.frames) == 2
+        assert len(t.frames) == 2
         np.testing.assert_allclose(t.gt_boxes[0].center, [10.0, 0.0, 0.8], atol=1e-6)
         np.testing.assert_allclose(t.gt_boxes[1].center, [11.0, 0.0, 0.8], atol=1e-6)
         np.testing.assert_array_equal(t.gt_boxes[0].size, [1.8, 4.0, 1.6])
@@ -593,3 +585,15 @@ def test_point_file_fault_names_file_and_row(tmp_path, layout, fault):
     with pytest.raises(FileNotFoundError if fault == "missing" else ValueError,
                        match=rf"^{re.escape(str(path))}: {message}"):
         read()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_signalling_nan_names_file_and_row_without_a_warning(tmp_path):
+    # a float32 signalling NaN warns when cast to float64; the reader must
+    # reject its row without casting it
+    raw = bytearray(np.arange(12, dtype="<f4").tobytes())
+    raw[2 * 12 + 4: 2 * 12 + 8] = struct.pack("<I", 0x7FA00000)  # row 2, y
+    path = tmp_path / "points_000.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: frame points must be finite; row 2 is"):
+        read_point_file(path, 0, 3)

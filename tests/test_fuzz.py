@@ -118,9 +118,9 @@ KINDS = [
 ]
 
 
-# a flipped bit can make a signalling NaN, whose cast to float64 warns before
-# the point reader rejects the row with an error naming the file
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+# a flipped bit can make a signalling NaN, which the point reader must
+# reject, naming the file, without the warning its cast to float64 gives
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_read_of_a_mutated_file_returns_or_names_the_file(cases, kind):
     case = cases[kind]

@@ -177,21 +177,9 @@ class TestMatmulConst:
         target = rng.normal(size=(3, 2))
         assert grad_check([x], lambda: huber(ag.matmul_const(x, m), target), rng=rng) < 1e-4
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_row_stack_equals_matrix_bit_for_bit(self, dtype):
-        rng = np.random.default_rng(5)
-        for yaw in rng.uniform(-10.0, 10.0, size=50):
-            m = np.eye(4)
-            m[:2, :2] = [[np.cos(yaw), -np.sin(yaw)], [np.sin(yaw), np.cos(yaw)]]
-            x = Tensor(rng.normal(size=(1, 4)).astype(dtype), requires_grad=True)
-            stacked, plain = ag.matmul_const(x, m[None]), ag.matmul_const(x, m)
-            np.testing.assert_array_equal(stacked.data, plain.data)
-            g = rng.normal(size=(1, 4)).astype(dtype)
-            np.testing.assert_array_equal(stacked.backward_fn(g)[0], plain.backward_fn(g)[0])
-
     def test_shape_mismatch_rejected(self):
         x = param(np.ones((3, 4)))
-        for m in (np.ones((2, 4, 4)), np.ones((3, 4, 3)), np.ones((4, 3))):
+        for m in (np.ones((2, 4, 4)), np.ones((3, 4, 3)), np.ones((4, 3)), np.ones((2, 4))):
             with pytest.raises(ValueError):
                 ag.matmul_const(x, m)
 
@@ -255,7 +243,7 @@ class TestNoGrad:
                 ag.add(x, x),
                 ag.scale(x, 2.0),
                 ag.add_const(x, 1.0),
-                ag.matmul_const(x, np.eye(3)),
+                ag.matmul_const(x, np.tile(np.eye(3), (4, 1, 1))),
                 cross_entropy(h, np.array([0, 1, 1, 0])),
                 huber(h, np.zeros((4, 2))),
             ]

@@ -116,11 +116,12 @@ def track_first_frame(monkeypatch, t, model, margin=2.0):
     """`track_frame` from frame 0 to frame 1 of `t`, starting at the GT box.
 
     Returns the joined cloud the frame built, the rows stage one received
-    (through a recording ``stage1_fn`` that runs the network's stage one)
+    and the (previous, current) points stage two received (through
+    recording ``stage1_fn`` and ``stage2_fn`` that run the network's stages)
     and the frame's diagnostics.
     """
     with_channels = pipeline.with_channels
-    clouds, fed = [], []
+    clouds, fed, split = [], [], []
 
     def record_cloud(*args):
         clouds.append(with_channels(*args))
@@ -130,13 +131,17 @@ def track_first_frame(monkeypatch, t, model, margin=2.0):
         fed.append(targets)
         return stage1_predict(targets, b_prev, model)
 
+    def record_stage2(i, prev_xyz, cur_xyz, s1):
+        split.append((prev_xyz, cur_xyz))
+        return stage2_refine(prev_xyz, cur_xyz, s1, model)
+
     monkeypatch.setattr(pipeline, "with_channels", record_cloud)
     _, diag = track_frame(
         t.frames[0], t.frames[1], t.gt_boxes[0], model, margin=margin, n_points=256,
-        overrides=TrackOverrides(stage1_fn=record_stage1),
+        overrides=TrackOverrides(stage1_fn=record_stage1, stage2_fn=record_stage2),
     )
-    (st,), (targets,) = clouds, fed
-    return st, targets, diag
+    (st,), (targets,), (stage2_in,) = clouds, fed, split
+    return st, targets, stage2_in, diag
 
 
 class TestSegmentTarget:
@@ -154,34 +159,34 @@ class TestSegmentTarget:
         # centre the target logit's lead on a sample crop, so that about
         # half the rows are predicted target
         model.seg_head.layers[-1][1].data[1] -= np.median(target_margin(st_for_pair(t, 1, b_prev)))
-        st, targets, diag = track_first_frame(monkeypatch, t, model)
+        st, targets, (prev_xyz, cur_xyz), diag = track_first_frame(monkeypatch, t, model)
         predicted = target_margin(st) > 0
         assert 0 < predicted.sum() < len(st)
         np.testing.assert_array_equal(targets, st.points[predicted])
         assert not diag.fallback_mask
-        assert diag.n_prev_target + diag.n_cur_target == len(targets)
+        assert len(prev_xyz) + len(cur_xyz) == len(targets)
 
     def test_all_background_logits_fall_back_to_prior(self, monkeypatch):
         # cropped at 5 m, stage one still gets every current row of the
         # crop, plus the previous rows inside the previous box
         t = moving_tracklet(k=3)
         b_prev = t.gt_boxes[0]
-        st, targets, diag = track_first_frame(monkeypatch, t, all_background(model32()), margin=5.0)
+        st, targets, (prev_xyz, cur_xyz), diag = track_first_frame(
+            monkeypatch, t, all_background(model32()), margin=5.0
+        )
         near = Box3D(center=b_prev.center, size=b_prev.size + 4.0, yaw=b_prev.yaw)
         assert not points_in_box(st.xyz[~st.prev_rows], near).all()  # rows beyond 2 m
         assert diag.fallback_mask
         want = np.where(st.prev_rows, points_in_box(st.xyz, b_prev), True)
         np.testing.assert_array_equal(targets, st.points[want])
-        assert (diag.n_prev_target, diag.n_cur_target) == (
-            int(want[st.prev_rows].sum()), int((~st.prev_rows).sum())
-        )
+        assert (len(prev_xyz), len(cur_xyz)) == (int(want[st.prev_rows].sum()), int((~st.prev_rows).sum()))
 
     def test_all_target_logits_select_everything(self, monkeypatch):
         t = moving_tracklet()
         model = model32()
         zero_final(model.seg_head)
         model.seg_head.layers[-1][1].data[1] = 100.0
-        st, targets, diag = track_first_frame(monkeypatch, t, model)
+        st, targets, _, diag = track_first_frame(monkeypatch, t, model)
         np.testing.assert_array_equal(targets, st.points)
         assert not diag.fallback_mask
 
@@ -416,11 +421,21 @@ class TestDistinctCrop:
             first = cur_rows[np.lexsort(cur_rows.T[::-1])[0]]
             return ~st.prev_rows & np.all(st.xyz == first, axis=1)
 
+        split = pipeline.split_by_time
+        stage2_rows = []  # (previous, current) rows stage two gets, distinct crop first
+
+        def record_split(st, mask):
+            prev_xyz, cur_xyz = split(st, mask)
+            stage2_rows.append((len(prev_xyz), len(cur_xyz)))
+            return prev_xyz, cur_xyz
+
+        monkeypatch.setattr(pipeline, "split_by_time", record_split)
         distinct, padded = self.track_both(monkeypatch, t.frames[0], cur, t.gt_boxes[0], model, n_points,
                                            overrides=TrackOverrides(segment_fn=one_point))
         self.assert_same(distinct, padded)
-        assert (distinct[1].n_prev_target, distinct[1].n_cur_target) == (0, 1)
-        assert padded[1].n_cur_target > 1
+        distinct_rows, padded_rows = stage2_rows
+        assert distinct_rows == (0, 1)
+        assert padded_rows[0] == 0 and padded_rows[1] > 1
 
 
 BAD_CROP_SETTINGS = [
