@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lidartrack.geometry import Box3D, yaw_matrix
+from lidartrack.geometry import Box3D, wrap_angle, yaw_matrix
 
 __all__ = ["AugmentConfig", "AugmentSample", "perturb_prev_box", "motion_augment"]
 
@@ -71,29 +71,29 @@ def perturb_prev_box(b: Box3D, cfg: AugmentConfig, rng: np.random.Generator) -> 
     return Box3D(center=center, size=b.size, yaw=yaw)
 
 
-def _mirror_points(points: np.ndarray) -> np.ndarray:
-    out = points.copy()
-    out[:, 1] = -out[:, 1]
-    return out
-
-
-def _mirror_box(b: Box3D) -> Box3D:
-    center = np.array(b.center)
-    center[1] = -center[1]
-    return Box3D(center=center, size=b.size, yaw=-b.yaw)
-
-
-def _rigid_frame_transform(
-    points: np.ndarray, box: Box3D, rot: float, trans: np.ndarray
+def _augment_frame(
+    points: np.ndarray, box: Box3D, flipped: bool, rot: float, trans: np.ndarray
 ) -> tuple[np.ndarray, Box3D]:
+    """One frame's target points and box, mirrored, rotated about the box
+    center, then translated; the box is built once, at the end.
+
+    Each step that moves the box ends with a yaw wrap, the last one Box3D's
+    own: wrap_angle can move the last bit, so this keeps the yaw the steps
+    give when each builds its box.
+    """
+    center, yaw, moved = np.array(box.center), box.yaw, False
+    if flipped:
+        points = points.copy()
+        points[:, 1] = -points[:, 1]
+        center[1], yaw, moved = -center[1], -yaw, True
     if rot != 0.0:
-        r = yaw_matrix(rot)
-        points = (points - box.center) @ r.T + box.center
-        box = Box3D(center=box.center, size=box.size, yaw=box.yaw + rot)
+        points = (points - center) @ yaw_matrix(rot).T + center
+        yaw, moved = (wrap_angle(yaw) if moved else yaw) + rot, True
     if np.any(trans != 0.0):
         points = points + trans
-        box = Box3D(center=box.center + trans, size=box.size, yaw=box.yaw)
-    return points, box
+        center = center + trans
+        yaw, moved = wrap_angle(yaw) if moved else yaw, True
+    return points, Box3D(center=center, size=box.size, yaw=yaw) if moved else box
 
 
 def motion_augment(
@@ -109,10 +109,6 @@ def motion_augment(
     cur_pts = np.asarray(cur_target_pts, dtype=np.float64)
 
     flipped = bool(cfg.flip_prob > 0 and rng.uniform() < cfg.flip_prob)
-    if flipped:
-        prev_pts, prev_box = _mirror_points(prev_pts), _mirror_box(prev_box)
-        cur_pts, cur_box = _mirror_points(cur_pts), _mirror_box(cur_box)
-
     rot_range = np.deg2rad(cfg.rot_range_deg)
     rot_prev = float(rng.uniform(-rot_range, rot_range)) if rot_range > 0 else 0.0
     rot_cur = float(rng.uniform(-rot_range, rot_range)) if rot_range > 0 else 0.0
@@ -123,8 +119,8 @@ def motion_augment(
         trans_prev = np.zeros(3)
         trans_cur = np.zeros(3)
 
-    prev_pts, prev_box = _rigid_frame_transform(prev_pts, prev_box, rot_prev, trans_prev)
-    cur_pts, cur_box = _rigid_frame_transform(cur_pts, cur_box, rot_cur, trans_cur)
+    prev_pts, prev_box = _augment_frame(prev_pts, prev_box, flipped, rot_prev, trans_prev)
+    cur_pts, cur_box = _augment_frame(cur_pts, cur_box, flipped, rot_cur, trans_cur)
     sample = AugmentSample(
         flipped=flipped,
         rot_prev=rot_prev,

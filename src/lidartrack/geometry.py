@@ -245,8 +245,13 @@ def points_in_box(points: np.ndarray, b: Box3D) -> np.ndarray:
 def _in_box(points: np.ndarray, b: Box3D) -> np.ndarray:
     """:func:`points_in_box` of (N, 3) float64 rows already known finite, such
     as the rows of a ``Frame``: the same mask without the input checks."""
-    local = np.abs(world_to_canonical(points, b))
-    w, l, h = b.size
+    return _in_extent(points, b.center, b.yaw, b.size)
+
+
+def _in_extent(points: np.ndarray, center: np.ndarray, yaw: float, size: np.ndarray) -> np.ndarray:
+    """:func:`_in_box` of the box with these parameters, without building it."""
+    local = np.abs((points - center) @ yaw_matrix(-yaw).T)
+    w, l, h = size
     # three column compares: a reduction over a 3-wide axis costs several
     # times more per row
     return (

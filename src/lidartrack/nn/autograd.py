@@ -13,17 +13,18 @@ second walk through a released node raises ``ValueError``.
 
 The op set is deliberately small: affine layers (plain, and joined with a
 per-block pooled row), ReLU, max pooling over row blocks of any sizes,
-column slice, elementwise add/scale, and multiplication by a constant
-matrix (one for all rows, or one per row).  That is enough to express
-every network in this package while keeping each backward rule a few
-lines of numpy.  New ops can be added from outside by constructing a
-Tensor with explicit parents and backward_fn, which the gradient-checker
-tests use to inject a deliberately broken rule.
+column slice, elementwise add/scale, and multiplication of each row by its
+own constant matrix.  That is enough to express every network in this
+package while keeping each backward rule a few lines of numpy.  New ops
+can be added from outside by constructing a Tensor with explicit parents
+and backward_fn, which the gradient-checker tests use to inject a
+deliberately broken rule.
 
 Gradients for ReLU at exactly zero and for ties in max pooling use fixed
 conventions: zero subgradient, and the lowest row index wins.  Work that
-only a gradient needs is done in the backward rule: max pooling takes its
-argmax, and ReLU its positive mask, when the backward pass runs.
+only a gradient needs is done in the backward rule: max pooling finds the
+rows that equal its pooled row, and ReLU its positive mask, when the
+backward pass runs.
 
 Inside a ``no_grad()`` block no graph is recorded: every Tensor is built
 without parents or a backward function, so op results do not require
@@ -230,7 +231,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear shape mismatch: x {x.data.shape} vs w {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ValueError(f"linear bias shape {b.data.shape} does not match w {w.data.shape}")
-    out = x.data @ w.data + b.data
+    # the bias goes into the product's own buffer: the same float ops as
+    # x @ w + b, without a second (rows, out) array
+    out = x.data @ w.data
+    out += b.data
 
     def bw(g: np.ndarray):
         gx = g @ w.data.T if x.requires_grad else None
@@ -299,14 +303,28 @@ def segment_maxpool(x: Tensor, counts: Sequence[int]) -> Tensor:
     spans = list(zip(bounds[:-1], bounds[1:]))
     out = np.empty((len(counts), cols), dtype=x.data.dtype)
     for i, (lo, hi) in enumerate(spans):
-        # max propagates NaN, and argmax picks the first NaN, so both agree
+        # max propagates NaN, and backward matches a NaN maximum to the
+        # block's NaN rows, so both agree
         x.data[lo:hi].max(axis=0, out=out[i])
 
     def bw(g: np.ndarray):
-        # ties resolve to the lowest row of each block
-        arg = np.array([x.data[lo:hi].argmax(axis=0) + lo for lo, hi in spans])
+        # each block-column's maximum is where x equals the pooled row; a
+        # NaN can only sit in a column whose maximum is NaN
+        match = np.empty(x.data.shape, dtype=bool)
+        for i, (lo, hi) in enumerate(spans):
+            np.equal(x.data[lo:hi], out[i], out=match[lo:hi])
+        if np.isnan(out).any():
+            match |= np.isnan(x.data)
+        idx = np.flatnonzero(match)
+        rows_of = idx // cols
+        key = np.repeat(np.arange(len(counts)), counts)[rows_of] * cols + (idx - rows_of * cols)
+        if idx.size > out.size:
+            # ties resolve to the lowest row of each block: idx is in row
+            # order, and unique returns each key's first position
+            key, first = np.unique(key, return_index=True)
+            idx = idx[first]
         gx = np.zeros_like(x.data)
-        gx[arg, np.arange(cols)] = g
+        gx.flat[idx] = g.ravel()[key]
         return (gx,)
 
     return Tensor(out, parents=(x,), backward_fn=bw, op="segment_maxpool")

@@ -48,4 +48,6 @@ class Adam:
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * np.square(g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            # in place: a step leaves no new array behind in the memory the
+            # next batch's graph reuses
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

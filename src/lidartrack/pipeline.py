@@ -79,6 +79,7 @@ from lidartrack.pointcloud import (
     EmptyRegionError,
     Frame,
     STCloud,
+    _replace_rows,
     assemble_features,
     build_st_cloud,
     check_crop_settings,
@@ -578,12 +579,8 @@ def prepare_pair_example(
     aug_prev, gt_prev, aug_cur, gt_cur, _ = motion_augment(
         prev_pts[prev_target], pair.prev_box, cur_pts[cur_target], pair.cur_box, cfg.augment, rng
     )
-    prev_frame = Frame(
-        points=np.vstack([aug_prev, prev_pts[~prev_target]]), timestamp=pair.prev_frame.timestamp
-    )
-    cur_frame = Frame(
-        points=np.vstack([aug_cur, cur_pts[~cur_target]]), timestamp=pair.cur_frame.timestamp
-    )
+    prev_frame = _replace_rows(pair.prev_frame, prev_target, aug_prev)
+    cur_frame = _replace_rows(pair.cur_frame, cur_target, aug_cur)
     b_prev = perturb_prev_box(gt_prev, cfg.augment, rng)
 
     try:
@@ -744,12 +741,15 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
     A row carries the epoch's loss terms and its wall-time split in seconds
     (``prepare_s``, ``forward_s``, ``backward_s``, ``step_s``) with
     ``pairs_per_s`` over the whole epoch.  Like inference, training pins
-    the process's malloc thresholds (:func:`lidartrack.nn.pin_heap`).
+    the process's malloc thresholds (:func:`lidartrack.nn.pin_heap`), and a
+    batch frees all it allocates: Adam updates the parameters in place and
+    their gradients are dropped after the step.
     """
     if not pairs:
         raise ValueError("no training pairs")
     pin_heap()
     params = model.parameters()
+    zero_grad(params)
     opt = Adam(params, lr=cfg.lr)
     prepared: Optional[list[Optional[PairExample]]] = None
     metrics: list[dict] = []
@@ -797,11 +797,14 @@ def train(model: Model, pairs: Sequence[TrainingPair], cfg: TrainConfig) -> list
                     lambda_reg=cfg.lambda_reg,
                 )
                 t1 = time.perf_counter()
-                zero_grad(params)
                 backward(loss)
                 t2 = time.perf_counter()
                 opt.step()
                 t3 = time.perf_counter()
+                # free all the batch allocated, gradients too, so each batch
+                # starts from the same heap and the next one reuses its pages
+                zero_grad(params)
+                del feats, labels, logits, loss
             except FloatingPointError as err:
                 raise FloatingPointError(f"training aborted at {batch_id}: {err}") from err
             phases["forward_s"] += t1 - t0

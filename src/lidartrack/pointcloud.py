@@ -28,8 +28,10 @@ from lidartrack.geometry import (  # noqa: F401
     Box3D,
     RTM,
     _in_box,
+    _in_extent,
     box_key_points,
     points_in_box,
+    wrap_angle,
     yaw_matrix,
 )
 
@@ -84,9 +86,7 @@ class Frame:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if not np.all(np.isfinite(pts)):
-            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise ValueError(f"frame points must be finite; row {row} is {pts[row]}")
+        _check_rows(pts)
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -94,6 +94,23 @@ class Frame:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+
+def _check_rows(pts: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first row of ``pts`` that is not finite."""
+    if not np.isfinite(pts).all():
+        row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"frame points must be finite; row {row} is {pts[row]}")
+
+
+def _replace_rows(f: Frame, drop: np.ndarray, rows: np.ndarray) -> Frame:
+    """``f`` without its rows where ``drop`` holds, below the (N, 3) float64
+    ``rows``.  Only ``rows`` are checked: the kept rows were checked when
+    ``f`` was built."""
+    _check_rows(rows)
+    pts = np.vstack([rows, f.points[~drop]])
+    pts.flags.writeable = False
+    return _unchecked(Frame, points=pts, timestamp=f.timestamp)
 
 
 def _cut(f: Frame, rows: np.ndarray) -> Frame:
@@ -184,8 +201,10 @@ def crop_and_sample(
     Raises ``EmptyRegionError`` when the region holds no points at all.
     """
     check_crop_settings(margin, n)
-    enlarged = Box3D(center=b.center, size=b.size + 2.0 * margin, yaw=b.yaw)
-    candidates = np.flatnonzero(_in_box(f.points, enlarged))
+    # the enlarged box's parameters as a Box3D would hold them, its yaw
+    # wrapped once more (wrap_angle can move the last bit)
+    region = _in_extent(f.points, b.center, wrap_angle(b.yaw), b.size + 2.0 * margin)
+    candidates = np.flatnonzero(region)
     cand_pts = f.points[candidates]
     candidates = candidates[np.lexsort((cand_pts[:, 2], cand_pts[:, 1], cand_pts[:, 0]))]
     if candidates.size == 0:

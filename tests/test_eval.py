@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lidartrack.data import SceneSpec, generate_synthetic_tracklet, make_synthetic_dataset
+from lidartrack.data.synthetic import PEDESTRIAN_SIZE
 from lidartrack.geometry import Box3D, box_key_points, center_distance, iou3d
 from lidartrack.evaluation import (
     FrameDiagnostics,
@@ -174,7 +175,7 @@ class FailOnPedestrians:
     name = "fails-on-pedestrians"
 
     def track(self, frames, initial_box):
-        if len(frames[0]) < 200:  # pedestrian clouds are much sparser
+        if tuple(initial_box.size) == PEDESTRIAN_SIZE:
             raise RuntimeError("lost track")
         return untimed(initial_box for _ in frames)
 

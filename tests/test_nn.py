@@ -9,6 +9,7 @@ hand computation.
 
 from __future__ import annotations
 
+import contextlib
 import platform
 import re
 import struct
@@ -80,6 +81,46 @@ class TestMlpForward:
         x = Tensor(np.ones((1, 1)))
         y = mlp_forward(x, [(param([[-3.0]]), param([0.0]))])
         assert y.data[0, 0] == -3.0
+
+
+def argmax_maxpool_grad(x: np.ndarray, counts, g: np.ndarray) -> np.ndarray:
+    """The max-pool gradient by a per-block argmax: each block-column's
+    gradient goes to its first maximal row, or its first NaN row."""
+    bounds = np.cumsum([0, *counts])
+    arg = np.array([x[lo:hi].argmax(axis=0) + lo for lo, hi in zip(bounds[:-1], bounds[1:])])
+    gx = np.zeros_like(x)
+    gx[arg, np.arange(x.shape[1])] = g
+    return gx
+
+
+def maxpool_case(name: str, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """Rows and block counts for one backward case, in float64."""
+    if name == "equal":
+        return rng.normal(size=(64, 9)), [16] * 4
+    if name == "ragged":
+        return rng.normal(size=(17, 9)), [1, 5, 3, 7, 1]
+    if name == "one_row_blocks":
+        return rng.normal(size=(6, 9)), [1] * 6
+    if name == "duplicated_rows":
+        # crop_and_pad's padding: each of 5 points 3 or 4 times, shuffled
+        base = rng.normal(size=(5, 9))
+        idx = np.concatenate([np.tile(np.arange(5), 3), rng.choice(5, size=1, replace=False)])
+        return np.vstack([base[rng.permutation(idx)], rng.normal(size=(8, 9))]), [16, 8]
+    if name == "signed_zeros":
+        # -0.0 and 0.0 compare equal, so a column of zeros ties from its first row
+        x = rng.normal(size=(12, 9)) - 3.0
+        x[2:7, 4], x[8, 4], x[9, 4] = -0.0, 0.0, -0.0
+        return x, [7, 5]
+    x = rng.normal(size=(24, 9))
+    x[5, 2] = np.nan
+    if name == "nan_column_and_tie":
+        x[[3, 9], 6] = np.nan                # two NaN rows: the first one wins
+        x[13] = x[18] = x[12:24].max(axis=0) + 1.0  # every column of block 1 ties
+    return x, [12, 12]
+
+
+MAXPOOL_CASES = ["equal", "ragged", "one_row_blocks", "duplicated_rows", "signed_zeros",
+                 "nan_column", "nan_column_and_tie"]
 
 
 class TestMaxpool:
@@ -165,6 +206,36 @@ class TestMaxpool:
         # zero counts, no blocks, and counts that do not sum to the rows
         with pytest.raises(ValueError):
             ag.segment_maxpool(param(np.ones((6, 2))), counts)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", MAXPOOL_CASES)
+    def test_bit_equal_to_per_block_argmax(self, case, dtype):
+        rng = np.random.default_rng(MAXPOOL_CASES.index(case))
+        x, counts = maxpool_case(case, rng)
+        x = x.astype(dtype)
+        g = rng.normal(size=(len(counts), x.shape[1])).astype(dtype)
+        g[0, ::2] = -0.0  # the sign of a zero gradient must reach its row
+        (got,) = ag.segment_maxpool(Tensor(x), counts).backward_fn(g)
+        want = argmax_maxpool_grad(x, counts, g)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_unfused_and_inputs_untouched(self, dtype, recording):
+        rng = np.random.default_rng(6)
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in [(37, 11), (11, 6), (6,)])
+        before = [a.tobytes() for a in (x, w, b)]
+        mode = no_grad() if not recording else contextlib.nullcontext()
+        with mode:
+            y = ag.linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        assert y.data.dtype == dtype
+        assert y.data.tobytes() == (x @ w + b).tobytes()
+        assert [a.tobytes() for a in (x, w, b)] == before
+        assert (y.backward_fn is not None) == recording
 
 
 class TestMatmulConst:

@@ -342,9 +342,12 @@ class TestTrackFrame:
         with pytest.raises(ValueError, match="override mask length"):
             track_frame(t.frames[0], t.frames[1], t.gt_boxes[0], model32(), overrides=short_mask)
         model = model32(seed=6)
+        before = [p.data.copy() for p in model.parameters()]
         cfg = TrainConfig(epochs=1, batch_size=4, n_points=64, augment=NO_AUG)
+        # backward raises unless the graph was recorded; train drops the
+        # gradients after each step, so the step shows in every parameter
         train(model, make_training_pairs([t]), cfg)
-        assert all(p.grad is not None and np.any(p.grad != 0) for p in model.parameters())
+        assert all(np.any(p.data != b) for p, b in zip(model.parameters(), before))
 
     def test_point_order_irrelevant(self):
         t = moving_tracklet(n_frames=2, seed=9)
