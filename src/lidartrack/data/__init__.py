@@ -2,7 +2,6 @@
 
 from lidartrack.data.kitti import (
     camera_label_from_box,
-    lidar_box_from_camera,
     load_kitti_tracklets,
 )
 from lidartrack.data.native import read_native, write_native
@@ -35,7 +34,6 @@ __all__ = [
     "camera_label_from_box",
     "generate_synthetic_tracklet",
     "is_dynamic",
-    "lidar_box_from_camera",
     "load_kitti_tracklets",
     "make_synthetic_dataset",
     "make_training_pairs",

@@ -11,12 +11,13 @@ reflectance column.
 
 Label boxes live in the camera frame: dimensions are h w l, the location
 is the bottom-face center (camera y points down), and rotation_y is the
-heading about the camera y-axis with zero meaning camera x.  Conversion to
-a LiDAR-frame Box3D lifts the center by h/2 against camera y, maps it
-through the inverse calibration, and recovers yaw by pushing the heading
+heading about the camera y-axis with zero meaning camera x.  The reader
+converts each label row to a LiDAR-frame Box3D in one place: it lifts the
+center by h/2 against camera y, maps it through the calibration's inverse
+(computed once per sequence), and recovers yaw by pushing the heading
 direction (cos ry, 0, -sin ry) through the calibration rotation.
-`camera_label_from_box` is the exact inverse, used to build test fixtures
-and to export.
+`camera_label_from_box` is the exact inverse, used to write KITTI-format
+fixtures.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from lidartrack.data.tracklets import Tracklet
 from lidartrack.geometry import Box3D
 from lidartrack.pointcloud import Frame
 
-__all__ = ["load_kitti_tracklets", "lidar_box_from_camera", "camera_label_from_box"]
+__all__ = ["load_kitti_tracklets", "camera_label_from_box"]
 
 _CALIB_KEYS = ("Tr_velo_to_cam", "Tr_velo_cam")
 
@@ -56,13 +57,9 @@ def _read_calib(path: Path) -> np.ndarray:
     raise ValueError(f"{path}: no LiDAR-to-camera transform ({' or '.join(_CALIB_KEYS)})")
 
 
-def lidar_box_from_camera(loc, hwl, ry: float, tr_velo_to_cam: np.ndarray) -> Box3D:
-    """Convert a camera-frame label box to a LiDAR-frame Box3D."""
-    return _lidar_box(loc, hwl, ry, tr_velo_to_cam, np.linalg.inv(tr_velo_to_cam))
-
-
 def _lidar_box(loc, hwl, ry: float, tr_velo_to_cam: np.ndarray, inv: np.ndarray) -> Box3D:
-    """`lidar_box_from_camera` with the calibration's inverse computed once per sequence."""
+    """A camera-frame label box as a LiDAR-frame Box3D; ``inv`` is the
+    calibration's inverse, computed once per sequence."""
     h, w, l = (float(v) for v in hwl)
     center_cam = np.array([loc[0], loc[1] - h / 2.0, loc[2], 1.0])
     center = (inv @ center_cam)[:3]
@@ -74,7 +71,7 @@ def _lidar_box(loc, hwl, ry: float, tr_velo_to_cam: np.ndarray, inv: np.ndarray)
 
 
 def camera_label_from_box(box: Box3D, tr_velo_to_cam: np.ndarray):
-    """Inverse of lidar_box_from_camera: returns (loc, (h, w, l), ry)."""
+    """Inverse of the label conversion: returns (loc, (h, w, l), ry)."""
     center_cam = (tr_velo_to_cam @ np.append(box.center, 1.0))[:3]
     h = box.height
     loc = center_cam + np.array([0.0, h / 2.0, 0.0])

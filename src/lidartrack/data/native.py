@@ -63,7 +63,7 @@ def _naming(path: Path):
         yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except ValueError as exc:  # also json.JSONDecodeError
+    except (ValueError, OverflowError) as exc:  # also json.JSONDecodeError; a huge JSON integer
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -71,8 +71,9 @@ def _load_json(path: Path) -> dict:
     doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"top level is a JSON {type(doc).__name__}, not an object")
-    if doc.get("format_version") not in _READABLE_VERSIONS:
-        raise ValueError(f"unsupported format version {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if type(version) is not int or version not in _READABLE_VERSIONS:  # true and 1.0 equal 1
+        raise ValueError(f"unsupported format version {version!r}")
     return doc
 
 
@@ -100,6 +101,17 @@ def write_native(tracklets: Sequence[Tracklet], root) -> None:
         index.append({"dir": name})
     manifest = {"format_version": _FORMAT_VERSION, "tracklets": index}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+
+_JSON_NUMBERS = frozenset((int, float))  # the types json parses a number to; bool is not one
+
+
+def box_from_json(value) -> Box3D:
+    """The box of a parsed JSON array of 7 numbers (a string or a bool is
+    not a number); anything else raises ``ValueError``."""
+    if not (isinstance(value, list) and _JSON_NUMBERS.issuperset(map(type, value))):
+        raise ValueError(f"a box must be a JSON array of numbers, got {value!r}")
+    return Box3D.from_vector(value)
 
 
 def read_text(path) -> str:
@@ -144,10 +156,18 @@ def _read_tracklet(tdir: Path) -> Tracklet:
     meta_path = tdir / "meta.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"{meta_path}: missing tracklet metadata")
-    with _naming(meta_path):  # truncated JSON, a missing key, bad boxes
+    with _naming(meta_path):  # truncated JSON, a missing key, a value of the wrong JSON type
         meta = _load_json(meta_path)
-        timestamps = [int(ts) for ts in meta["timestamps"]]
-        boxes = tuple(Box3D.from_vector(v) for v in meta["boxes"])
+        for key in ("id", "category"):
+            if type(meta[key]) is not str:
+                raise ValueError(f"{key} must be a JSON string, got {meta[key]!r}")
+        timestamps, boxes = meta["timestamps"], meta["boxes"]
+        # a float or a bool timestamp is refused, not truncated
+        if not (isinstance(timestamps, list) and all(type(ts) is int for ts in timestamps)):
+            raise ValueError(f"timestamps must be a JSON array of integers, got {timestamps!r}")
+        if not isinstance(boxes, list):
+            raise ValueError(f"boxes must be a JSON array, got {boxes!r}")
+        boxes = tuple(box_from_json(v) for v in boxes)
     frames = tuple(read_point_file(tdir / f"points_{i:03d}.bin", ts, 3) for i, ts in enumerate(timestamps))
     with _naming(meta_path):  # a box count that does not match the frames
         return Tracklet(id=meta["id"], frames=frames, gt_boxes=boxes, category=meta["category"])

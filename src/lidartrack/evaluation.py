@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Protocol, Sequence
 import numpy as np
 
 from lidartrack.data import MOTION_MODELS, SceneSpec, Tracklet, make_synthetic_dataset
-from lidartrack.data.native import read_text
+from lidartrack.data.native import box_from_json, read_text
 from lidartrack.geometry import Box3D, center_distance, iou3d, points_in_box
 from lidartrack.pointcloud import Frame
 
@@ -431,8 +431,11 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
     listed tracklet id must exist in ``tracklets`` and cover exactly its
     frame count, and the ids in ``tracklets`` must be unique. Wall times
     of the tracked frames are taken from the file.
-    A line that is not JSON, lacks a key, or holds a non-integer ``frame_index``,
-    an invalid box or a non-finite or negative wall time raises ``ValueError('<path>:<line>: ...')``;
+    A line that is not JSON, lacks a key, or holds a value of the wrong JSON
+    type (a ``tracklet_id`` that is not a string, a ``frame_index`` that is
+    not an integer, a box or a ``wall_ms`` that is not numbers; a bool is
+    not a number), an invalid box or a non-finite or negative wall time
+    raises ``ValueError('<path>:<line>: ...')``;
     bytes that are not UTF-8, and ids or frame indices that do not match the
     tracklets, raise ``ValueError('<path>: ...')``.
     """
@@ -447,20 +450,21 @@ def score_predictions(path, tracklets: Iterable[Tracklet]) -> OpeReport:
             continue
         try:
             row = json.loads(line)
-            tid = str(row["tracklet_id"])
-            wall = float(row.get("wall_ms", 0.0))
+            tid = row["tracklet_id"]
+            if type(tid) is not str:
+                raise ValueError(f"tracklet_id must be a JSON string, got {tid!r}")
+            wall = row.get("wall_ms", 0.0)
+            if type(wall) not in (int, float):
+                raise ValueError(f"wall_ms must be a JSON number, got {wall!r}")
+            wall = float(wall)
             if not (np.isfinite(wall) and wall >= 0.0):
                 raise ValueError(f"wall_ms must be finite and non-negative, got {wall}")
             if type(row["frame_index"]) is not int:  # refuse a JSON float, string or bool
                 raise ValueError(f"frame_index must be a JSON integer, got {row['frame_index']!r}")
-            parsed = (
-                row["frame_index"],
-                Box3D.from_vector(np.asarray(row["box"], dtype=np.float64)),
-                wall,
-            )
+            parsed = (row["frame_index"], box_from_json(row["box"]), wall)
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # overflow: a huge JSON integer
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         rows_by_id[tid].append(parsed)
 

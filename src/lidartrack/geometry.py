@@ -35,7 +35,6 @@ __all__ = [
     "RTM",
     "apply_rtm",
     "box_key_points",
-    "canonical_to_world",
     "center_distance",
     "infer_rtm",
     "iou3d",
@@ -186,11 +185,6 @@ class RTM:
     def as_vector(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz, self.dtheta])
 
-    def inverse(self) -> "RTM":
-        """The motion undoing this one (plain negation under the
-        world-frame center-translation convention)."""
-        return RTM(-self.dx, -self.dy, -self.dz, -self.dtheta)
-
 
 def apply_rtm(b: Box3D, m: RTM) -> Box3D:
     """Move a box by a relative motion.
@@ -265,12 +259,6 @@ def world_to_canonical(points: np.ndarray, b: Box3D) -> np.ndarray:
     """Express world points in the box frame: ``R(-yaw) @ (p - center)``."""
     pts = np.asarray(points, dtype=np.float64)
     return (pts - b.center) @ yaw_matrix(-b.yaw).T
-
-
-def canonical_to_world(points: np.ndarray, b: Box3D) -> np.ndarray:
-    """Inverse of :func:`world_to_canonical`."""
-    pts = np.asarray(points, dtype=np.float64)
-    return pts @ yaw_matrix(b.yaw).T + b.center
 
 
 def center_distance(a: Box3D, b: Box3D) -> float:

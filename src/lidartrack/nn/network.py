@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -153,14 +154,7 @@ class Model:
 
     def lift(self, array) -> Tensor:
         """Wrap an input array as a constant graph node in the model dtype."""
-        if isinstance(array, Tensor):
-            return array
         return Tensor(np.asarray(array, dtype=self.config.dtype))
-
-
-def _pair_sizes(x: Tensor, sizes) -> list[int]:
-    """Rows per pair: all rows are one pair when ``sizes`` is None."""
-    return [x.data.shape[0]] if sizes is None else list(sizes)
 
 
 def segment_forward_batched(features, model: Model, batch: int) -> Tensor:
@@ -187,18 +181,18 @@ def segment_forward(features, model: Model) -> Tensor:
     return segment_forward_batched(features, model, batch=1)
 
 
-def stage1_forward(points, model: Model, sizes=None) -> tuple[Tensor, Tensor, Tensor]:
+def stage1_forward(points, model: Model, sizes: Sequence[int]) -> tuple[Tensor, Tensor, Tensor]:
     """Encode segmented target points into motion outputs, one row per pair.
 
     `points` holds the pairs' target points stacked, (sum(sizes), 4), and
-    `sizes` their row counts; None means one pair.  Returns (motion
-    4-vectors, dynamic/static logits, previous-box refinement 4-vectors),
-    each a (pairs, k) graph node.
+    `sizes` their row counts.  Returns (motion 4-vectors, dynamic/static
+    logits, previous-box refinement 4-vectors), each a (pairs, k) graph
+    node.
     """
     x = model.lift(points)
     if x.data.ndim != 2 or x.data.shape[1] != STAGE1_IN:
         raise ValueError(f"expected (n, {STAGE1_IN}) points, got {x.data.shape}")
-    emb = segment_maxpool(model.stage1_encoder(x), _pair_sizes(x, sizes))
+    emb = segment_maxpool(model.stage1_encoder(x), sizes)
     motion = model.motion_head(emb)
     rtm4 = slice_cols(motion, 0, RTM_DIM)
     logits = slice_cols(motion, RTM_DIM, MOTION_OUT)
@@ -206,16 +200,16 @@ def stage1_forward(points, model: Model, sizes=None) -> tuple[Tensor, Tensor, Te
     return rtm4, logits, refine4
 
 
-def stage2_forward(points, model: Model, sizes=None) -> Tensor:
+def stage2_forward(points, model: Model, sizes: Sequence[int]) -> Tensor:
     """Refinement 4-vectors (pairs, 4) from merged points in each coarse frame.
 
     `points` holds the pairs' merged points stacked, (sum(sizes), 3), and
-    `sizes` their row counts; None means one pair.
+    `sizes` their row counts.
     """
     x = model.lift(points)
     if x.data.ndim != 2 or x.data.shape[1] != STAGE2_IN:
         raise ValueError(f"expected (n, {STAGE2_IN}) points, got {x.data.shape}")
-    return model.stage2_head(segment_maxpool(model.stage2_trunk(x), _pair_sizes(x, sizes)))
+    return model.stage2_head(segment_maxpool(model.stage2_trunk(x), sizes))
 
 
 def _header_dict(model: Model, extra: dict | None) -> dict:

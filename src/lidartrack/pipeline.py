@@ -13,13 +13,16 @@ network never sees absolute world coordinates.  The override seam
 (`TrackOverrides`) lets any stage be replaced by ground truth, which is how
 the plumbing is validated end to end.
 
-Training and inference run the same code for each stage: the prior-mask
-fallback, stage one's rotation to world axes and box construction, and
-stage two's merge, canonicalization, forward pass and rotation.  Training
-teacher-forces the discrete structure: stage inputs come from the
-ground-truth target mask and the static/dynamic branch follows the
-ground-truth motion label, keeping the regression targets stationary while
-the segmentation and motion classifiers are still learning.  Inference takes
+Each frame pair has one network input, built once by
+:func:`canonical_features`.  Segmentation reads all of it and stage one the
+first four columns of its target rows.  Training and inference run the same
+code for each stage: the prior-mask fallback, stage one's rotation to world
+axes and box construction, and stage two's merge, canonicalization, forward
+pass and rotation.  Training teacher-forces the discrete structure: stage
+inputs come from the ground-truth target mask and the static/dynamic branch
+follows the ground-truth motion label, keeping the regression targets
+stationary while the segmentation and motion classifiers are still
+learning.  Inference takes
 the predicted mask and the predicted branch instead, and its public entry
 points (`track_frame`, `stage1_predict`, `stage2_refine`) run under
 ``no_grad()``: tracking records no autograd graph.
@@ -80,7 +83,6 @@ from lidartrack.pointcloud import (
     Frame,
     STCloud,
     _replace_rows,
-    assemble_features,
     build_st_cloud,
     check_crop_settings,
     crop_and_pad,
@@ -127,13 +129,19 @@ COORD_SCALE = 0.05
 
 
 def canonical_features(st: STCloud, b_prev: Box3D) -> np.ndarray:
-    """Network input (N, 14) with xyz expressed in the previous-box frame.
+    """The network input (N, 14): xyz in the previous-box frame, the
+    temporal flag, targetness, then the 9 distances, all converted to
+    network units by ``COORD_SCALE``.
 
-    All channels are converted to network units via ``COORD_SCALE``; the
-    distance channels must have been attached from the same prior box.
+    The channels must have been attached from ``b_prev``.
     """
-    feats = assemble_features(st)
+    if st.targetness is None or st.distmap is None:
+        raise ValueError("STCloud is missing targetness/distmap channels")
+    feats = np.empty((len(st), 14))
     feats[:, :3] = world_to_canonical(st.xyz, b_prev)
+    feats[:, 3] = st.points[:, 3]
+    feats[:, 4] = st.targetness
+    feats[:, 5:] = st.distmap
     feats *= COORD_SCALE
     return feats
 
@@ -175,12 +183,6 @@ def _no_lone_row(x: np.ndarray) -> np.ndarray:
     number of that point's copies.
     """
     return np.repeat(x, 2, axis=0) if len(x) == 1 else x
-
-
-def _segment(st: STCloud, model: Model, b_prev: Box3D) -> np.ndarray:
-    """Predicted target mask over the joined cloud."""
-    logits = segment_forward(canonical_features(st, b_prev), model)
-    return logits.data.argmax(axis=1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,7 @@ class _Stage1Graph:
 
 def _stage1(
     canon_xyzt: np.ndarray,
-    sizes: Optional[Sequence[int]],
+    sizes: Sequence[int],
     b_prevs: Sequence[Box3D],
     model: Model,
     dynamic: Optional[Sequence[bool]],
@@ -234,7 +236,7 @@ def _stage1(
     """Run stage one on the pairs' canonical, network-scaled target points.
 
     `canon_xyzt` stacks each pair's points (n_i, 4), `sizes` holds the n_i
-    (None for one pair) and `b_prevs` each pair's previous box.  Both
+    and `b_prevs` each pair's previous box.  Both
     regressed 4-vectors are rotated from each previous-box frame to world
     axes.  The static/dynamic branch is ``dynamic`` when given (training
     follows the labels) and the argmax of the motion logits otherwise.
@@ -259,17 +261,17 @@ def _stage1(
     return _Stage1Graph(outputs=tuple(outputs), rtm4=rtm4, logits=logits, refine4=refine4)
 
 
-def stage1_predict(targets_xyzt: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
-    """Run the motion stage on segmented target points (n, 4) in world xyzt.
+def stage1_predict(rows: np.ndarray, b_prev: Box3D, model: Model) -> Stage1Output:
+    """Run the motion stage on the target rows' first four feature columns.
 
-    No points raise ValueError; :func:`track_frame` always passes some.
+    ``rows`` is ``canonical_features(st, b_prev)[mask, :4]``, the (n, 4)
+    input :func:`forward_batch` hands stage one in training: canonical xyz
+    and the temporal flag, in network units.  No rows raise ValueError;
+    :func:`track_frame` always passes some.
     """
-    pts = _no_lone_row(np.asarray(targets_xyzt, dtype=np.float64).reshape(-1, 4))
-    canon = pts.copy()
-    canon[:, :3] = world_to_canonical(pts[:, :3], b_prev)
-    canon *= COORD_SCALE
+    rows = _no_lone_row(rows)
     with no_grad():
-        return _stage1(canon, None, [b_prev], model, dynamic=None).outputs[0]
+        return _stage1(rows, [len(rows)], [b_prev], model, dynamic=None).outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +324,10 @@ class TrackOverrides:
 
     Each callable receives the frame index of the current frame within its
     sequence.  ``segment_fn(i, st, b_prev)`` returns a boolean mask over the
-    joined cloud; ``stage1_fn(i, targets_xyzt, b_prev)`` returns a
-    :class:`Stage1Output`; ``stage2_fn(i, prev_xyz, cur_xyz, s1)`` returns
-    the final box.
+    joined cloud; ``stage1_fn(i, rows, b_prev)`` receives what
+    :func:`stage1_predict` would, the target rows' first four feature
+    columns, and returns a :class:`Stage1Output`;
+    ``stage2_fn(i, prev_xyz, cur_xyz, s1)`` returns the final box.
     """
 
     segment_fn: Optional[Callable[[int, STCloud, Box3D], np.ndarray]] = None
@@ -368,19 +371,20 @@ def track_frame(
             return b_prev, FrameDiagnostics.since(t0, degenerate=True)
 
         st = with_channels(build_st_cloud(prev_crop, cur_crop), b_prev)
+        features = canonical_features(st, b_prev)
         if overrides is not None and overrides.segment_fn is not None:
             mask = np.asarray(overrides.segment_fn(frame_index, st, b_prev), dtype=bool).reshape(-1)
             if mask.shape[0] != len(st):
                 raise ValueError(f"override mask length {mask.shape[0]} != cloud size {len(st)}")
         else:
-            mask = _segment(st, model, b_prev)
+            mask = segment_forward(features, model).data.argmax(axis=1) == 1
         mask, fallback = _with_prior_fallback(mask, st)
 
-        targets = st.points[mask]
+        rows = features[mask, :4]
         if overrides is not None and overrides.stage1_fn is not None:
-            s1 = overrides.stage1_fn(frame_index, targets, b_prev)
+            s1 = overrides.stage1_fn(frame_index, rows, b_prev)
         else:
-            s1 = stage1_predict(targets, b_prev, model)
+            s1 = stage1_predict(rows, b_prev, model)
 
         prev_xyz, cur_xyz = split_by_time(st, mask)
         if overrides is not None and overrides.stage2_fn is not None:
@@ -468,7 +472,7 @@ def make_oracle_overrides(tracklet: Tracklet) -> TrackOverrides:
     def segment(i: int, st: STCloud, b_prev: Box3D) -> np.ndarray:
         return _rows_in_boxes(st, boxes[i - 1], boxes[i])
 
-    def stage1(i: int, targets: np.ndarray, b_prev: Box3D) -> Stage1Output:
+    def stage1(i: int, rows: np.ndarray, b_prev: Box3D) -> Stage1Output:
         m = infer_rtm(boxes[i - 1], boxes[i])
         # the branch flag follows the motion label, but the box follows the
         # motion itself: a slow mover labeled static still moves

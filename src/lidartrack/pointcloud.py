@@ -11,8 +11,8 @@ derived from the previous box:
   distances to the box's 8 corners and center, zero rows for current-frame
   points.
 
-The network consumes ``points(4) | targetness(1) | distmap(9)`` in exactly
-that column order (see :func:`assemble_features`).
+All of it stays in world coordinates; the network's input array is built
+from a cloud and its box in one place, ``pipeline.canonical_features``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "EmptyRegionError",
     "Frame",
     "STCloud",
-    "assemble_features",
     "box_aware_distmap",
     "build_st_cloud",
     "check_crop_settings",
@@ -290,15 +289,6 @@ def with_channels(st: STCloud, b_prev: Box3D) -> STCloud:
         points=st.points,
         targetness=prior_targetness_map(st, b_prev),
         distmap=box_aware_distmap(st, b_prev),
-    )
-
-
-def assemble_features(st: STCloud) -> np.ndarray:
-    """The (N, 14) network input: points(4) | targetness(1) | distmap(9)."""
-    if st.targetness is None or st.distmap is None:
-        raise ValueError("STCloud is missing targetness/distmap channels")
-    return np.concatenate(
-        [st.points, st.targetness[:, None], st.distmap], axis=1
     )
 
 

@@ -167,7 +167,7 @@ def test_criterion_03_gradient_correctness():
     t_rtm, t_ref = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
 
     def stage1_loss():
-        rtm4, logits, refine4 = stage1_forward(pts1, model)
+        rtm4, logits, refine4 = stage1_forward(pts1, model, [len(pts1)])
         return ag.add(
             ag.add(huber(rtm4, t_rtm), cross_entropy(logits, np.array([1]))),
             huber(refine4, t_ref),
@@ -181,7 +181,7 @@ def test_criterion_03_gradient_correctness():
         worst,
         grad_check(
             model.stage2_parameters(),
-            lambda: huber(stage2_forward(pts2, model), t_s2),
+            lambda: huber(stage2_forward(pts2, model, [len(pts2)]), t_s2),
             rng=rng,
         ),
     )

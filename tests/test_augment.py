@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from lidartrack.augment import AugmentConfig, motion_augment, perturb_prev_box
-from lidartrack.geometry import Box3D, canonical_to_world, infer_rtm, points_in_box, wrap_angle
+from conftest import canonical_to_world
+from lidartrack.geometry import Box3D, infer_rtm, points_in_box, wrap_angle
 
 ZERO = AugmentConfig(
     flip_prob=0.0, rot_range_deg=0.0, trans_range=0.0, prev_box_shift=0.0, prev_box_yaw_shift_deg=0.0

@@ -4,9 +4,11 @@
 callers look them up by, and the workloads call the program through the
 modules they import (``pipeline.track_sequence``, ``lt_data.read_native``),
 passing keywords such as ``track_frame(frame_index=)``.  Checking all of
-these here makes a renamed or deleted function or parameter fail the
-suite, not the next benchmark run.  ``ExperimentConfig`` is generated from
-the module configs, so the config keys the workloads use are checked too.
+these here, and binding each call's arguments to its callee's signature,
+makes a renamed or deleted function or parameter, or a new required one,
+fail the suite, not the next benchmark run.  ``ExperimentConfig`` is
+generated from the module configs, so the config keys the workloads use
+are checked too.
 """
 
 from __future__ import annotations
@@ -103,20 +105,25 @@ def test_every_program_name_the_workloads_read_exists():
 
 
 def test_every_keyword_the_workloads_pass_is_a_parameter():
-    unknown, passed = [], set()
+    """Each call's arguments bind to its callee's signature: an unknown
+    keyword, a missing required parameter or a positional too many fails.
+    A starred argument could fill any parameter, so it is skipped, and the
+    rest of its call binds partially."""
+    unbound, passed, bound = [], set(), 0
     for path in BENCH_FILES:
         for name, target, call in program_calls(path):
-            params = inspect.signature(target).parameters.values()
-            if any(p.kind is p.VAR_KEYWORD for p in params):
-                continue
-            accepted = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
-            for kw in call.keywords:
-                if kw.arg is None:  # **mapping: nothing to check by name
-                    continue
-                passed.add(f"{name}({kw.arg}=)")
-                if kw.arg not in accepted:
-                    unknown.append(f"{path.name}:{call.lineno}: {name}({kw.arg}=)")
-    assert not unknown, f"perfbench passes keywords the program no longer takes: {unknown}"
+            args = [object() for arg in call.args if not isinstance(arg, ast.Starred)]
+            kwargs = {kw.arg: object() for kw in call.keywords if kw.arg is not None}
+            passed |= {f"{name}({kw}=)" for kw in kwargs}
+            starred = len(args) < len(call.args) or len(kwargs) < len(call.keywords)
+            signature = inspect.signature(target)
+            try:
+                (signature.bind_partial if starred else signature.bind)(*args, **kwargs)
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{call.lineno}: {name}: {exc}")
+            bound += 1
+    assert not unbound, f"perfbench calls the program with arguments it no longer takes: {unbound}"
+    assert bound >= 40  # the scan reached the workloads' calls
     # the scan reached the calls the workloads make with keywords
     assert {
         "lidartrack.pipeline.track_frame(frame_index=)",

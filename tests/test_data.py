@@ -387,6 +387,32 @@ class TestNativeFormat:
         with pytest.raises(ValueError, match=rf"^{path}: size components must be positive"):
             read_native(tmp_path)
 
+    @pytest.mark.parametrize(
+        "key, wrong, message",
+        [
+            ("id", lambda _: 7, "id must be a JSON string, got 7"),
+            ("id", lambda _: ["x"], "id must be a JSON string, got ['x']"),
+            ("category", lambda _: 3, "category must be a JSON string, got 3"),
+            # a float is not truncated, a bool is not an integer
+            ("timestamps", lambda ts: [t + 0.5 for t in ts], "timestamps must be a JSON array of integers"),
+            ("timestamps", lambda ts: [True, *ts[1:]], "timestamps must be a JSON array of integers"),
+            ("timestamps", lambda ts: 5, "timestamps must be a JSON array of integers, got 5"),
+            ("boxes", lambda b: [[str(v) for v in b[0]], *b[1:]], "a box must be a JSON array of numbers"),
+            ("boxes", lambda b: 5, "boxes must be a JSON array, got 5"),
+            ("format_version", lambda _: True, "unsupported format version True"),
+            ("format_version", lambda _: 2.0, "unsupported format version 2.0"),
+        ],
+    )
+    def test_wrong_json_type_names_file(self, tmp_path, key, wrong, message):
+        def retype(text):
+            meta = json.loads(text)
+            meta[key] = wrong(meta[key])
+            return json.dumps(meta)
+
+        path = self.rewrite_meta(tmp_path, retype)
+        with pytest.raises(ValueError, match=rf"^{path}: {re.escape(message)}"):
+            read_native(tmp_path)
+
 
 # LiDAR x-forward / camera z-forward permutation used by the real sensors
 CANON_ROT = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])

@@ -359,6 +359,18 @@ class TestScorePredictions:
              "frame_index must be a JSON integer, got '1'"),
             ('{"tracklet_id": "syn-21", "frame_index": true, "box": [0, 0, 0, 1, 1, 1, 0]}',
              "frame_index must be a JSON integer, got True"),
+            ('{"tracklet_id": 21, "frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0]}',
+             "tracklet_id must be a JSON string, got 21"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0], "wall_ms": "5"}',
+             "wall_ms must be a JSON number, got '5'"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [0, 0, 0, 1, 1, 1, 0], "wall_ms": true}',
+             "wall_ms must be a JSON number, got True"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": ["0", "0", "0", "1", "1", "1", "0"]}',
+             "a box must be a JSON array of numbers"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": [true, true, true, true, true, true, true]}',
+             "a box must be a JSON array of numbers"),
+            ('{"tracklet_id": "syn-21", "frame_index": 1, "box": "0001110"}',
+             "a box must be a JSON array of numbers"),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, line, message):

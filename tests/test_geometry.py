@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import canonical_to_world
 from lidartrack.geometry import (
     CONTAINMENT_ATOL,
     RTM,
@@ -31,7 +32,6 @@ from lidartrack.geometry import (
     infer_rtm,
     iou3d,
     points_in_box,
-    canonical_to_world,
     world_to_canonical,
     wrap_angle,
     yaw_matrix,
@@ -187,7 +187,7 @@ class TestApplyInferRtm:
         for _ in range(100):
             b = random_box(rng)
             m = RTM(*rng.uniform(-2, 2, size=3), rng.uniform(-np.pi, np.pi))
-            back = apply_rtm(apply_rtm(b, m), m.inverse())
+            back = apply_rtm(apply_rtm(b, m), RTM(-m.dx, -m.dy, -m.dz, -m.dtheta))
             assert np.max(np.abs(back.center - b.center)) < 1e-9
             assert abs(wrap_angle(back.yaw - b.yaw)) < 1e-9
 

@@ -361,8 +361,8 @@ class TestNoGrad:
         def run():
             return [
                 segment_forward(feats, model).data,
-                *(t.data for t in stage1_forward(pts4, model)),
-                stage2_forward(pts3, model).data,
+                *(t.data for t in stage1_forward(pts4, model, [len(pts4)])),
+                stage2_forward(pts3, model, [len(pts3)]).data,
             ]
 
         with no_grad():
@@ -697,7 +697,7 @@ class TestGradCheckNets:
         t_rtm, t_ref = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
 
         def loss():
-            rtm4, logits, refine4 = stage1_forward(pts, model)
+            rtm4, logits, refine4 = stage1_forward(pts, model, [len(pts)])
             return ag.add(
                 ag.add(huber(rtm4, t_rtm), cross_entropy(logits, np.array([1]))),
                 huber(refine4, t_ref),
@@ -712,7 +712,7 @@ class TestGradCheckNets:
         pts = rng.normal(size=(15, 3))
         target = rng.normal(size=(1, 4))
         err = grad_check(
-            model.stage2_parameters(), lambda: huber(stage2_forward(pts, model), target), rng=rng
+            model.stage2_parameters(), lambda: huber(stage2_forward(pts, model, [len(pts)]), target), rng=rng
         )
         assert err < 1e-4
 

@@ -162,7 +162,7 @@ class TestSegmentTarget:
         st, targets, (prev_xyz, cur_xyz), diag = track_first_frame(monkeypatch, t, model)
         predicted = target_margin(st) > 0
         assert 0 < predicted.sum() < len(st)
-        np.testing.assert_array_equal(targets, st.points[predicted])
+        np.testing.assert_array_equal(targets, canonical_features(st, b_prev)[predicted, :4])
         assert not diag.fallback_mask
         assert len(prev_xyz) + len(cur_xyz) == len(targets)
 
@@ -178,7 +178,7 @@ class TestSegmentTarget:
         assert not points_in_box(st.xyz[~st.prev_rows], near).all()  # rows beyond 2 m
         assert diag.fallback_mask
         want = np.where(st.prev_rows, points_in_box(st.xyz, b_prev), True)
-        np.testing.assert_array_equal(targets, st.points[want])
+        np.testing.assert_array_equal(targets, canonical_features(st, b_prev)[want, :4])
         assert (len(prev_xyz), len(cur_xyz)) == (int(want[st.prev_rows].sum()), int((~st.prev_rows).sum()))
 
     def test_all_target_logits_select_everything(self, monkeypatch):
@@ -187,8 +187,44 @@ class TestSegmentTarget:
         zero_final(model.seg_head)
         model.seg_head.layers[-1][1].data[1] = 100.0
         st, targets, _, diag = track_first_frame(monkeypatch, t, model)
-        np.testing.assert_array_equal(targets, st.points)
+        np.testing.assert_array_equal(targets, canonical_features(st, t.gt_boxes[0])[:, :4])
         assert not diag.fallback_mask
+
+    @pytest.mark.parametrize("override_mask", [False, True])
+    def test_stage_one_reads_the_one_feature_array(self, monkeypatch, override_mask):
+        # the frame builds its features once, and stage one gets their
+        # target rows bit for bit, as forward_batch cuts them in training
+        t = moving_tracklet()
+        b_prev = t.gt_boxes[0]
+        model = model32()
+        build = pipeline.canonical_features
+        built, seen = [], []
+
+        def count_features(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def segment(i, st, b):
+            seen.append((st, np.arange(len(st)) % 3 == 0))
+            return seen[-1][1]
+
+        def stage1(i, rows, b):
+            seen.append(rows)
+            return stage1_predict(rows, b, model)
+
+        monkeypatch.setattr(pipeline, "canonical_features", count_features)
+        overrides = TrackOverrides(segment_fn=segment if override_mask else None, stage1_fn=stage1)
+        track_frame(t.frames[0], t.frames[1], b_prev, model, n_points=256, overrides=overrides)
+        (features,) = built
+        if override_mask:
+            (st, mask), rows = seen
+            np.testing.assert_array_equal(features, build(st, b_prev))
+        else:
+            (rows,) = seen
+            mask = segment_forward(features, model).data.argmax(axis=1) == 1
+            if not mask.any():  # the prior: the targetness column
+                mask = features[:, 4] > 0
+        np.testing.assert_array_equal(rows, features[mask, :4])
 
     def test_fallback_holds_every_current_row(self):
         # the prior is the targetness channel: previous rows inside the
@@ -764,7 +800,7 @@ class TestTraining:
         mask = ex.seg_labels.astype(bool)
         if not mask.any():
             mask = prior_target_mask(ex.st)
-        s1 = stage1_predict(ex.st.points[mask], ex.b_prev, model)
+        s1 = stage1_predict(ex.features[mask, :4], ex.b_prev, model)
         (train_s1,) = fwd.stage1
         np.testing.assert_array_equal(s1.refined_prev_box.as_vector(), train_s1.refined_prev_box.as_vector())
         np.testing.assert_array_equal(s1.rtm.as_vector(), RTM(*fwd.rtm4.data[0]).as_vector())
@@ -909,6 +945,23 @@ class TestExportPredictions:
 
 
 class TestCanonicalFeatures:
+    def test_column_layout(self):
+        # at the unit box the canonical frame is the world frame
+        unit_box = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
+        prev = Frame(points=[[0.0, 0.0, 0.0]], timestamp=0)
+        cur = Frame(points=[[1.0, 2.0, 3.0]], timestamp=1)
+        st = with_channels(build_st_cloud(prev, cur), unit_box)
+        f = canonical_features(st, unit_box)
+        assert f.shape == (2, 14)
+        np.testing.assert_array_equal(f[:, :4], st.points * COORD_SCALE)       # xyzt
+        np.testing.assert_array_equal(f[:, 4], st.targetness * COORD_SCALE)    # prior channel
+        np.testing.assert_array_equal(f[:, 5:], st.distmap * COORD_SCALE)      # 9 distances
+
+    def test_missing_channels_rejected(self):
+        st = build_st_cloud(Frame(points=[[0, 0, 0]]), Frame(points=[[1, 1, 1]], timestamp=1))
+        with pytest.raises(ValueError, match="^STCloud is missing targetness/distmap channels$"):
+            canonical_features(st, Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0))
+
     def test_xyz_canonicalized_rest_untouched(self):
         t = moving_tracklet(n_frames=2, seed=20)
         b = t.gt_boxes[0]

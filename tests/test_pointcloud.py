@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import canonical_to_world
 from lidartrack.geometry import RTM, Box3D, box_key_points, points_in_box
 from lidartrack.pointcloud import (
     EmptyRegionError,
     Frame,
     STCloud,
-    assemble_features,
     box_aware_distmap,
     build_st_cloud,
     crop_and_pad,
@@ -327,24 +327,14 @@ class TestMotionAssistedMerge:
         box = Box3D(center=(2, 1, 0), size=(1.8, 4.0, 1.6), yaw=0.3)
         m = RTM(0.7, -0.4, 0.1, 0.6)
         local = rng.uniform(-0.5, 0.5, size=(50, 3)) * box.size[[1, 0, 2]]
-        from lidartrack.geometry import canonical_to_world, apply_rtm, world_to_canonical
+        from lidartrack.geometry import apply_rtm, world_to_canonical
         world_prev = canonical_to_world(local, box)
         merged = motion_assisted_merge(world_prev, np.zeros((0, 3)), m, box, dynamic=True)
         moved_box = apply_rtm(box, m)
         np.testing.assert_allclose(world_to_canonical(merged, moved_box), local, atol=1e-9)
 
 
-class TestAssembleFeatures:
-    def test_column_layout(self):
-        prev = make_frame([[0.0, 0.0, 0.0]])
-        cur = make_frame([[1.0, 2.0, 3.0]], t=1)
-        st = with_channels(build_st_cloud(prev, cur), UNIT_BOX)
-        f = assemble_features(st)
-        assert f.shape == (2, 14)
-        np.testing.assert_array_equal(f[:, :4], st.points)       # xyzt
-        np.testing.assert_array_equal(f[:, 4], st.targetness)    # prior channel
-        np.testing.assert_array_equal(f[:, 5:], st.distmap)      # 9 distances
-
+class TestWithChannels:
     def test_with_channels_populates_invariants(self):
         rng = np.random.default_rng(14)
         prev = make_frame(rng.uniform(-1, 1, size=(20, 3)))
@@ -353,8 +343,3 @@ class TestAssembleFeatures:
         assert st.targetness is not None and st.distmap is not None
         assert np.all(st.targetness[20:] == 0.5)
         assert np.all(st.distmap[20:] == 0.0)
-
-    def test_missing_channels_rejected(self):
-        st = build_st_cloud(make_frame([[0, 0, 0]]), make_frame([[1, 1, 1]], t=1))
-        with pytest.raises(ValueError):
-            assemble_features(st)
